@@ -377,21 +377,57 @@ void BM_VocabularyLookupMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_VocabularyLookupMiss);
 
-// Multi-term conjunctive match latency through the iterator algebra
-// (rarest-first leapfrog And over block-compressed postings) — the match
-// path every engine now runs.
-void BM_ConjunctiveMatch(benchmark::State& state) {
+// Multi-term conjunctive top-k latency through the streaming kernel
+// (rarest-first leapfrog And over block-compressed postings, scored into a
+// bounded heap of state.range(0)) — the match path every engine runs.
+void BM_ConjunctiveTopK(benchmark::State& state) {
   MicroEnv& env = Env();
   const auto& vocab = env.corpus->vocabulary();
   const auto query = KeywordQuery::Parse(vocab, "sports game team");
   const QueryNode node = QueryNode::FromKeywords(query);
+  const ScoringFunction& scorer = env.engine->scorer();
+  const auto limit = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ExecuteMatch(*env.index, node, query.terms()).size());
+        ExecuteTopK(*env.index, node, query.terms(), scorer,
+                    scorer.MakeContext(*env.index, query.terms()), limit)
+            .total_matches);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ConjunctiveMatch);
+BENCHMARK(BM_ConjunctiveTopK)->Arg(10)->Arg(20);
+
+// The match layers per query over the whole 4,000-query AOL-like log,
+// through the engine's node entry points: 0 = count walk, 1 = id
+// materialization, 2 = top-10 (match + score + select). One iteration is
+// one pass over the log; EXPERIMENTS.md records the per-query means.
+void BM_MatchLayer(benchmark::State& state) {
+  MicroEnv& env = Env();
+  std::vector<QueryNode> nodes;
+  for (const KeywordQuery& query : env.workload->log()) {
+    nodes.push_back(QueryNode::FromKeywords(query));
+  }
+  const auto& log = env.workload->log();
+  const int64_t layer = state.range(0);
+  for (auto _ : state) {
+    size_t sink = 0;
+    for (size_t i = 0; i < log.size(); ++i) {
+      if (log[i].terms().empty()) continue;
+      if (layer == 0) {
+        sink += env.engine->MatchCountNode(nodes[i]);
+      } else if (layer == 1) {
+        sink += env.engine->MatchIdsNode(nodes[i]).size();
+      } else {
+        sink += env.engine->TopMatchesNode(nodes[i], log[i].terms(), 10)
+                    .docs.size();
+      }
+    }
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(log.size()));
+}
+BENCHMARK(BM_MatchLayer)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // Terms for the disjunction sweeps, by document frequency rank.
 // rank_from_top=true returns the state.range(0) highest-df terms (dense,

@@ -352,43 +352,78 @@ CompiledQuery CompileQuery(const InvertedIndex& index, const QueryNode& node,
 // ---------------------------------------------------------------------------
 // Execution
 
-std::vector<MatchedDoc> ExecuteMatch(const InvertedIndex& index,
-                                     const QueryNode& node,
-                                     std::span<const TermId> freq_terms,
-                                     OrStrategy strategy) {
+RankedMatches ExecuteTopK(const InvertedIndex& index, const QueryNode& node,
+                          std::span<const TermId> score_terms,
+                          const ScoringFunction& scorer,
+                          const ScoringContext& context, size_t limit,
+                          OrStrategy strategy) {
   CompiledQuery query = CompileQuery(index, node, strategy);
-  std::vector<MatchedDoc> result;
 
-  // Per-position aligned slot, or npos for the document-lookup fallback.
-  constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
-  std::vector<size_t> position_to_slot(freq_terms.size(), kNoSlot);
-  for (size_t pos = 0; pos < freq_terms.size(); ++pos) {
-    for (size_t slot = 0; slot < query.aligned_terms.size(); ++slot) {
-      if (query.aligned_terms[slot]->term() == freq_terms[pos]) {
-        position_to_slot[pos] = slot;
+  // Per-position aligned iterator, or null for the document-lookup
+  // fallback.
+  std::vector<const TermIterator*> aligned(score_terms.size(), nullptr);
+  for (size_t pos = 0; pos < score_terms.size(); ++pos) {
+    for (const TermIterator* term : query.aligned_terms) {
+      if (term->term() == score_terms[pos]) {
+        aligned[pos] = term;
         break;
       }
     }
   }
 
+  // Candidates ordered by score, ties by local id — exact RankBefore order,
+  // since ascending local id is ascending DocId within one index. As a heap
+  // under `better`, the front is the worst candidate kept.
+  struct Candidate {
+    double score;
+    uint32_t local;
+  };
+  const auto better = [](const Candidate& a, const Candidate& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.local < b.local;
+  };
+  std::vector<Candidate> heap;
+  heap.reserve(std::min(limit, query.root->CostEstimate()));
+  std::vector<uint32_t> freqs(score_terms.size());
+  size_t total = 0;
   for (DocIterator& root = *query.root; root.Valid(); root.Next()) {
-    MatchedDoc match;
-    match.local_doc = root.Doc();
-    match.freqs.reserve(freq_terms.size());
-    const Document* doc = nullptr;  // resolved lazily, once per match
-    for (size_t pos = 0; pos < freq_terms.size(); ++pos) {
-      if (position_to_slot[pos] != kNoSlot) {
-        // Aligned conjunction: the iterator sits on this very document.
-        match.freqs.push_back(
-            query.aligned_terms[position_to_slot[pos]]->Freq());
-      } else {
-        if (doc == nullptr) doc = &index.DocAt(match.local_doc);
-        match.freqs.push_back(doc->FrequencyOf(freq_terms[pos]));
-      }
+    ++total;
+    if (limit == 0) continue;
+    const uint32_t local = root.Doc();
+    const Document& doc = index.DocAt(local);
+    for (size_t pos = 0; pos < score_terms.size(); ++pos) {
+      // Aligned conjunction: the iterator sits on this very document.
+      freqs[pos] = aligned[pos] != nullptr
+                       ? aligned[pos]->Freq()
+                       : doc.FrequencyOf(score_terms[pos]);
     }
-    result.push_back(std::move(match));
+    const Candidate candidate{
+        scorer.ScoreMatch(context, static_cast<double>(doc.length()), freqs),
+        local};
+    if (heap.size() < limit) {
+      heap.push_back(candidate);
+      std::push_heap(heap.begin(), heap.end(), better);
+    } else if (better(candidate, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), better);
+      heap.back() = candidate;
+      std::push_heap(heap.begin(), heap.end(), better);
+    }
   }
-  return result;
+  std::sort_heap(heap.begin(), heap.end(), better);
+
+  RankedMatches out;
+  out.total_matches = total;
+  out.docs.reserve(heap.size());
+  for (const Candidate& candidate : heap) {
+    out.docs.push_back({index.LocalToId(candidate.local), candidate.score});
+  }
+  // Kernel contract: min(limit, |Sel|) candidates, strictly ranked.
+  ASUP_CONTRACTS_ONLY(
+      ASUP_CHECK_EQ(out.docs.size(), std::min(limit, total));
+      for (size_t i = 1; i < out.docs.size(); ++i) {
+        ASUP_CHECK(RankBefore(out.docs[i - 1], out.docs[i]));
+      })
+  return out;
 }
 
 size_t ExecuteCount(const InvertedIndex& index, const QueryNode& node,

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "asup/engine/query_node.h"
+#include "asup/engine/scoring.h"
+#include "asup/engine/search_engine.h"
 #include "asup/index/inverted_index.h"
 
 namespace asup {
@@ -206,14 +208,17 @@ struct CompiledQuery {
 CompiledQuery CompileQuery(const InvertedIndex& index, const QueryNode& node,
                            OrStrategy strategy = OrStrategy::kAdaptive);
 
-/// Executes `node` and returns every matching document ascending, with
-/// per-position frequencies for `freq_terms` (the scoring inputs, in
-/// query-term order). Conjunctions read frequencies from the aligned
-/// iterators; other shapes fall back to the document's term map.
-std::vector<MatchedDoc> ExecuteMatch(
-    const InvertedIndex& index, const QueryNode& node,
-    std::span<const TermId> freq_terms,
-    OrStrategy strategy = OrStrategy::kAdaptive);
+/// The top-k match kernel: executes `node` in one streaming pass, scoring
+/// every match with `scorer` against `context` and keeping the `limit`
+/// best (RankBefore order) in a bounded heap. Frequencies of `score_terms`
+/// (query-term order) go into one per-query buffer — read from the aligned
+/// iterators for conjunctions, from the document otherwise. Returns the
+/// survivors ranked, and the exact total match count.
+RankedMatches ExecuteTopK(const InvertedIndex& index, const QueryNode& node,
+                          std::span<const TermId> score_terms,
+                          const ScoringFunction& scorer,
+                          const ScoringContext& context, size_t limit,
+                          OrStrategy strategy = OrStrategy::kAdaptive);
 
 /// Number of matching documents, without materializing anything.
 size_t ExecuteCount(const InvertedIndex& index, const QueryNode& node,

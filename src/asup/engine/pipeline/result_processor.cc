@@ -125,16 +125,10 @@ void RescoreProcessor::Process(QueryContext& context) const {
   if (!snapshot->has_index()) return;
   const InvertedIndex& index = snapshot->index();
   const auto& terms = context.query->terms();
-  const ScoringContext scoring = MakeScoringContext(index, terms);
+  const ScoringContext scoring = scorer_->MakeContext(index, terms);
   for (ScoredDoc& entry : context.result.docs) {
-    const uint32_t local = index.LocalOf(entry.doc);
-    const Document& doc = index.DocAt(local);
-    MatchedDoc match;
-    match.local_doc = local;
-    match.freqs.reserve(terms.size());
-    for (TermId term : terms) match.freqs.push_back(doc.FrequencyOf(term));
-    entry.score = scorer_->ScoreMatch(
-        scoring, static_cast<double>(doc.length()), match);
+    entry.score = scorer_->ScoreDocument(
+        scoring, index.DocAt(index.LocalOf(entry.doc)), terms);
   }
   std::sort(context.result.docs.begin(), context.result.docs.end(),
             RankBefore);

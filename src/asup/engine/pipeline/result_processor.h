@@ -46,8 +46,11 @@ struct QueryContext {
   /// Cap for the match stage: k for the plain interface, γ·k for the
   /// suppression engines (|M(q)| = min(|Sel(q)|, γ·k)).
   size_t match_limit = 0;
-  /// Epoch-checked prefetch from BatchExecutor's deterministic mode, or
-  /// null for a live query. The engine clears stale prefetches before Run.
+  /// Precomputed M(q) (and maybe match ids) of the pinned epoch: a batch
+  /// prefetch from BatchExecutor's deterministic mode, or, on an AS-ARBI
+  /// cache miss, M(q) computed live; AS-ARBI replaces a stale batch
+  /// prefetch by the live one before Run. Null for the plain, AS-SIMPLE
+  /// and AS-DECLINE live paths.
   const QueryPrefetch* prefetch = nullptr;
   /// Whether a live match stage opens an obs span (the defended engines
   /// trace it; the undefended interface path never did).
@@ -155,7 +158,8 @@ class MatchProcessor : public ResultProcessor {
 };
 
 /// Count stage: ensures |Sel(q)| is available without necessarily ranking
-/// anything (AS-ARBI and AS-DECLINE gate on the count alone).
+/// anything. AS-ARBI always arrives with a prefetch and takes the count
+/// from it; only AS-DECLINE still reaches the count walk.
 class MatchCountProcessor : public ResultProcessor {
  public:
   const char* name() const override { return "match_count"; }

@@ -4,51 +4,50 @@
 
 namespace asup {
 
-ScoringContext MakeScoringContext(const InvertedIndex& index,
-                                  std::span<const TermId> terms) {
-  ScoringContext context;
-  context.stats = &index.stats();
-  context.dfs.reserve(terms.size());
-  for (TermId term : terms) context.dfs.push_back(index.DocumentFrequency(term));
-  return context;
+double ScoringFunction::ScoreDocument(const ScoringContext& context,
+                                      const Document& doc,
+                                      std::span<const TermId> terms) const {
+  std::vector<uint32_t> freqs;
+  freqs.reserve(terms.size());
+  for (TermId term : terms) freqs.push_back(doc.FrequencyOf(term));
+  return ScoreMatch(context, static_cast<double>(doc.length()), freqs);
 }
 
-double ScoringFunction::Score(const InvertedIndex& index,
-                              std::span<const TermId> terms,
-                              const MatchedDoc& match) const {
-  const ScoringContext context = MakeScoringContext(index, terms);
-  return ScoreMatch(
-      context, static_cast<double>(index.DocAt(match.local_doc).length()),
-      match);
+double Bm25Scorer::TermFactor(const IndexStats& stats, size_t df) const {
+  const double n = static_cast<double>(stats.num_documents);
+  const double d = static_cast<double>(df);
+  return std::log((n - d + 0.5) / (d + 0.5) + 1.0);
 }
 
 double Bm25Scorer::ScoreMatch(const ScoringContext& context, double doc_length,
-                              const MatchedDoc& match) const {
+                              std::span<const uint32_t> freqs) const {
   const IndexStats& stats = *context.stats;
-  const double n = static_cast<double>(stats.num_documents);
   const double avg_len =
       stats.average_doc_length > 0.0 ? stats.average_doc_length : 1.0;
+  const double norm = k1_ * (1.0 - b_ + b_ * doc_length / avg_len);
   double score = 0.0;
-  for (size_t i = 0; i < context.dfs.size(); ++i) {
-    const double df = static_cast<double>(context.dfs[i]);
-    const double idf = std::log((n - df + 0.5) / (df + 0.5) + 1.0);
-    const double tf = static_cast<double>(match.freqs[i]);
-    const double norm = k1_ * (1.0 - b_ + b_ * doc_length / avg_len);
-    score += idf * tf * (k1_ + 1.0) / (tf + norm);
+  for (size_t i = 0; i < context.term_factors.size(); ++i) {
+    const double tf = static_cast<double>(freqs[i]);
+    score += context.term_factors[i] * tf * (k1_ + 1.0) / (tf + norm);
   }
   return score;
 }
 
+double TfIdfScorer::TermFactor(const IndexStats& stats, size_t df) const {
+  if (df == 0) return 0.0;
+  return std::log(static_cast<double>(stats.num_documents) /
+                  static_cast<double>(df));
+}
+
 double TfIdfScorer::ScoreMatch(const ScoringContext& context,
                                double doc_length,
-                               const MatchedDoc& match) const {
-  const double n = static_cast<double>(context.stats->num_documents);
+                               std::span<const uint32_t> freqs) const {
   double score = 0.0;
-  for (size_t i = 0; i < context.dfs.size(); ++i) {
-    const double df = static_cast<double>(context.dfs[i]);
-    if (df == 0.0) continue;
-    const double tf = 1.0 + std::log(static_cast<double>(match.freqs[i]));
-    score += tf * std::log(n / df);
+  for (size_t i = 0; i < context.term_factors.size(); ++i) {
+    // A term the document lacks adds nothing (1 + log 0 would be −∞).
+    if (freqs[i] == 0) continue;
+    const double tf = 1.0 + std::log(static_cast<double>(freqs[i]));
+    score += tf * context.term_factors[i];
   }
   return doc_length > 0.0 ? score / std::sqrt(doc_length) : score;
 }

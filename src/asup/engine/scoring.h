@@ -1,6 +1,7 @@
 #ifndef ASUP_ENGINE_SCORING_H_
 #define ASUP_ENGINE_SCORING_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -13,22 +14,19 @@ namespace asup {
 /// Corpus-wide inputs to scoring for one query, decoupled from any single
 /// InvertedIndex so a sharded engine can score shard-local matches against
 /// *global* statistics. Scores are bitwise identical to a single-index
-/// engine exactly when `stats` and `dfs` describe the whole logical corpus
-/// (the scoring arithmetic consumes nothing else that spans shards).
+/// engine exactly when `stats` and the document frequencies the factors
+/// were computed from describe the whole logical corpus (the scoring
+/// arithmetic consumes nothing else that spans shards).
 struct ScoringContext {
   /// Statistics of the logical corpus (num_documents, average_doc_length).
   const IndexStats* stats = nullptr;
 
-  /// Document frequency of each query term across the logical corpus, in
-  /// query-term order (parallel to MatchedDoc::freqs).
-  std::vector<size_t> dfs;
+  /// The scorer's per-term factor, in query-term order (parallel to the
+  /// frequencies ScoreMatch receives), computed once per query from the
+  /// term's corpus-wide document frequency: BM25's idf, TF-IDF's
+  /// log(n/df).
+  std::vector<double> term_factors;
 };
-
-/// Builds the scoring context of `terms` against one index (the
-/// single-index engine's whole corpus). A sharded engine assembles the
-/// same struct from its global stats and summed per-shard frequencies.
-ScoringContext MakeScoringContext(const InvertedIndex& index,
-                                  std::span<const TermId> terms);
 
 /// The engine's ranking function.
 ///
@@ -40,17 +38,38 @@ class ScoringFunction {
  public:
   virtual ~ScoringFunction() = default;
 
-  /// Relevance of a matched document to the query. Higher is better.
-  /// `doc_length` is the matched document's token count; `match.freqs`
-  /// holds its per-query-term frequencies.
-  virtual double ScoreMatch(const ScoringContext& context, double doc_length,
-                            const MatchedDoc& match) const = 0;
+  /// Builds the scoring context of `terms` against `index` — an
+  /// InvertedIndex (the single-index engine's whole corpus) or a
+  /// ShardedInvertedIndex (global stats and summed per-shard document
+  /// frequencies): both expose stats() and DocumentFrequency().
+  template <typename Index>
+  ScoringContext MakeContext(const Index& index,
+                             std::span<const TermId> terms) const {
+    ScoringContext context;
+    context.stats = &index.stats();
+    context.term_factors.reserve(terms.size());
+    for (TermId term : terms) {
+      context.term_factors.push_back(
+          TermFactor(index.stats(), index.DocumentFrequency(term)));
+    }
+    return context;
+  }
 
-  /// Single-index convenience: builds the context from `index` and scores
-  /// one match. Callers scoring many matches of one query should build the
-  /// context once with MakeScoringContext and call ScoreMatch directly.
-  double Score(const InvertedIndex& index, std::span<const TermId> terms,
-               const MatchedDoc& match) const;
+  /// Relevance of a matched document to the query. Higher is better.
+  /// `doc_length` is the matched document's token count; `freqs` holds its
+  /// per-query-term frequencies (parallel to context.term_factors).
+  virtual double ScoreMatch(const ScoringContext& context, double doc_length,
+                            std::span<const uint32_t> freqs) const = 0;
+
+  /// Scores `doc` with its own frequencies of `terms` (query-term order) —
+  /// for callers holding documents rather than a posting walk.
+  double ScoreDocument(const ScoringContext& context, const Document& doc,
+                       std::span<const TermId> terms) const;
+
+ protected:
+  /// The per-term factor of a term with document frequency `df` in the
+  /// corpus `stats` describes.
+  virtual double TermFactor(const IndexStats& stats, size_t df) const = 0;
 };
 
 /// Okapi BM25 — the default ranking function of the substrate engine.
@@ -59,7 +78,10 @@ class Bm25Scorer : public ScoringFunction {
   explicit Bm25Scorer(double k1 = 1.2, double b = 0.75) : k1_(k1), b_(b) {}
 
   double ScoreMatch(const ScoringContext& context, double doc_length,
-                    const MatchedDoc& match) const override;
+                    std::span<const uint32_t> freqs) const override;
+
+ protected:
+  double TermFactor(const IndexStats& stats, size_t df) const override;
 
  private:
   double k1_;
@@ -68,11 +90,15 @@ class Bm25Scorer : public ScoringFunction {
 
 /// Classic TF-IDF with log-scaled term frequency; provided as an alternate
 /// "proprietary" ranker to demonstrate that the defenses are agnostic to the
-/// scoring function.
+/// scoring function. A query term the document lacks (possible under Or and
+/// Not trees) contributes 0, as in BM25.
 class TfIdfScorer : public ScoringFunction {
  public:
   double ScoreMatch(const ScoringContext& context, double doc_length,
-                    const MatchedDoc& match) const override;
+                    std::span<const uint32_t> freqs) const override;
+
+ protected:
+  double TermFactor(const IndexStats& stats, size_t df) const override;
 };
 
 /// Returns the library's default scorer (BM25 with standard parameters).

@@ -64,31 +64,8 @@ RankedMatches PlainSearchEngine::TopMatchesNodeIn(
     const CorpusSnapshot& snapshot, const QueryNode& node,
     std::span<const TermId> score_terms, size_t limit) const {
   const InvertedIndex& index = snapshot.index();
-  RankedMatches out;
-  const std::vector<MatchedDoc> matches =
-      ExecuteMatch(index, node, score_terms);
-  out.total_matches = matches.size();
-  if (matches.empty()) return out;
-
-  const ScoringContext context = MakeScoringContext(index, score_terms);
-  std::vector<ScoredDoc> scored;
-  scored.reserve(matches.size());
-  for (const MatchedDoc& match : matches) {
-    scored.push_back(
-        {index.LocalToId(match.local_doc),
-         scorer_->ScoreMatch(
-             context,
-             static_cast<double>(index.DocAt(match.local_doc).length()),
-             match)});
-  }
-  if (limit < scored.size()) {
-    std::nth_element(scored.begin(), scored.begin() + limit, scored.end(),
-                     RankBefore);
-    scored.resize(limit);
-  }
-  std::sort(scored.begin(), scored.end(), RankBefore);
-  out.docs = std::move(scored);
-  return out;
+  return ExecuteTopK(index, node, score_terms, *scorer_,
+                     scorer_->MakeContext(index, score_terms), limit);
 }
 
 size_t PlainSearchEngine::MatchCountNodeIn(const CorpusSnapshot& snapshot,
@@ -110,21 +87,13 @@ std::vector<ScoredDoc> PlainSearchEngine::RankDocsIn(
     const CorpusSnapshot& snapshot, const KeywordQuery& query,
     std::span<const DocId> docs) const {
   const InvertedIndex& index = snapshot.index();
-  const ScoringContext context = MakeScoringContext(index, query.terms());
+  const ScoringContext context = scorer_->MakeContext(index, query.terms());
   std::vector<ScoredDoc> scored;
   scored.reserve(docs.size());
   for (DocId id : docs) {
-    const uint32_t local = index.LocalOf(id);
-    MatchedDoc match;
-    match.local_doc = local;
-    const Document& doc = index.DocAt(local);
-    match.freqs.reserve(query.terms().size());
-    for (TermId term : query.terms()) {
-      match.freqs.push_back(doc.FrequencyOf(term));
-    }
-    scored.push_back(
-        {id, scorer_->ScoreMatch(context,
-                                 static_cast<double>(doc.length()), match)});
+    scored.push_back({id, scorer_->ScoreDocument(
+                              context, index.DocAt(index.LocalOf(id)),
+                              query.terms())});
   }
   std::sort(scored.begin(), scored.end(), RankBefore);
   return scored;

@@ -42,62 +42,27 @@ void ShardedSearchService::ForEachShard(
   });
 }
 
-ScoringContext ShardedSearchService::MakeContext(
-    const ShardedInvertedIndex& index, std::span<const TermId> terms) const {
-  ScoringContext context;
-  context.stats = &index.stats();
-  context.dfs.reserve(terms.size());
-  for (TermId term : terms) {
-    context.dfs.push_back(index.DocumentFrequency(term));
-  }
-  return context;
-}
-
 RankedMatches ShardedSearchService::TopMatchesNodeIn(
     const CorpusSnapshot& snapshot, const QueryNode& node,
     std::span<const TermId> score_terms, size_t limit) const {
   const ShardedInvertedIndex& index = snapshot.sharded();
   RankedMatches out;
-  const ScoringContext context = MakeContext(index, score_terms);
+  const ScoringContext context = scorer_->MakeContext(index, score_terms);
 
-  // Scatter: each shard compiles the same query tree against its own
-  // document range (Not anti-joins each shard's local range; shards
-  // partition the corpus, so the per-shard complements union to the
-  // global complement), matches, and scores against the global context,
+  // Scatter: each shard runs the top-k kernel on the same query tree
+  // against its own document range (Not anti-joins each shard's local
+  // range; shards partition the corpus, so the per-shard complements union
+  // to the global complement), scoring against the global context and
   // keeping only its local top-`limit` — a superset of the shard's
-  // contribution to the global top-`limit`. Slots are preallocated, so
-  // the phase is deterministic under any scheduling.
-  struct ShardCandidates {
-    std::vector<ScoredDoc> docs;
-    size_t total_matches = 0;
-  };
-  std::vector<ShardCandidates> slots(index.NumShards());
+  // contribution to the global top-`limit`. Slots are preallocated, so the
+  // phase is deterministic under any scheduling.
+  std::vector<RankedMatches> slots(index.NumShards());
   ForEachShard(index.NumShards(), [&](size_t s) {
     // Attributes the span to the caller's trace when this chunk runs on
     // the issuing thread; always feeds the shard_match latency histogram.
     ASUP_TRACE_STAGE(obs::Stage::kShardMatch);
-    const InvertedIndex& shard = index.Shard(s);
-    const std::vector<MatchedDoc> matches =
-        ExecuteMatch(shard, node, score_terms);
-    ShardCandidates& slot = slots[s];
-    slot.total_matches = matches.size();
-    slot.docs.reserve(std::min(matches.size(), limit));
-    std::vector<ScoredDoc> scored;
-    scored.reserve(matches.size());
-    for (const MatchedDoc& match : matches) {
-      scored.push_back(
-          {shard.LocalToId(match.local_doc),
-           scorer_->ScoreMatch(
-               context,
-               static_cast<double>(shard.DocAt(match.local_doc).length()),
-               match)});
-    }
-    if (limit < scored.size()) {
-      std::nth_element(scored.begin(), scored.begin() + limit, scored.end(),
-                       RankBefore);
-      scored.resize(limit);
-    }
-    slot.docs = std::move(scored);
+    slots[s] = ExecuteTopK(index.Shard(s), node, score_terms, *scorer_,
+                           context, limit);
   });
 
   // Gather: exact global merge. RankBefore is a strict total order over
@@ -106,13 +71,13 @@ RankedMatches ShardedSearchService::TopMatchesNodeIn(
   {
     ASUP_TRACE_STAGE(obs::Stage::kShardMerge);
     size_t candidates = 0;
-    for (const ShardCandidates& slot : slots) {
+    for (const RankedMatches& slot : slots) {
       out.total_matches += slot.total_matches;
       candidates += slot.docs.size();
     }
     std::vector<ScoredDoc> merged;
     merged.reserve(candidates);
-    for (ShardCandidates& slot : slots) {
+    for (const RankedMatches& slot : slots) {
       merged.insert(merged.end(), slot.docs.begin(), slot.docs.end());
     }
     ASUP_METRIC_OBSERVE_SIZE("asup_shard_merge_candidates", candidates);
@@ -180,22 +145,15 @@ std::vector<ScoredDoc> ShardedSearchService::RankDocsIn(
     const CorpusSnapshot& snapshot, const KeywordQuery& query,
     std::span<const DocId> docs) const {
   const ShardedInvertedIndex& index = snapshot.sharded();
-  const ScoringContext context = MakeContext(index, query.terms());
+  const ScoringContext context = scorer_->MakeContext(index, query.terms());
   std::vector<ScoredDoc> scored;
   scored.reserve(docs.size());
   for (DocId id : docs) {
-    const size_t s = index.ShardOfLocal(index.LocalOf(id));
-    const InvertedIndex& shard = index.Shard(s);
-    MatchedDoc match;
-    match.local_doc = shard.LocalOf(id);
-    const Document& doc = shard.DocAt(match.local_doc);
-    match.freqs.reserve(query.terms().size());
-    for (TermId term : query.terms()) {
-      match.freqs.push_back(doc.FrequencyOf(term));
-    }
-    scored.push_back(
-        {id, scorer_->ScoreMatch(context,
-                                 static_cast<double>(doc.length()), match)});
+    const InvertedIndex& shard =
+        index.Shard(index.ShardOfLocal(index.LocalOf(id)));
+    scored.push_back({id, scorer_->ScoreDocument(
+                              context, shard.DocAt(shard.LocalOf(id)),
+                              query.terms())});
   }
   std::sort(scored.begin(), scored.end(), RankBefore);
   return scored;

@@ -87,10 +87,6 @@ class ShardedSearchService : public MatchingEngine {
   void ForEachShard(size_t shards,
                     const std::function<void(size_t)>& body) const;
 
-  /// The global scoring inputs of one query (see ScoringContext).
-  ScoringContext MakeContext(const ShardedInvertedIndex& index,
-                             std::span<const TermId> terms) const;
-
   const CorpusManager* manager_ = nullptr;
   SnapshotHandle static_snapshot_;
   size_t k_;

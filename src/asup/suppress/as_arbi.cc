@@ -137,23 +137,35 @@ SearchResult AsArbiEngine::SearchStateLocked(const KeywordQuery& query,
   }
 
   // A prefetch computed against a different epoch is stale — its M(q) and
-  // match ids reflect the wrong index. Recompute live in that case.
+  // match ids reflect the wrong index. Without a usable prefetch the miss
+  // runs the batch match phase live on the pinned epoch: M(q) carries
+  // |Sel(q)| for the trigger and is handed to the fall-through exactly as
+  // a prefetch is, so one posting walk serves both (match ids stay lazy,
+  // for a trigger that passes the prescreen).
   const bool prefetch_usable =
       prefetch != nullptr &&
       (prefetch->snapshot == nullptr ||
        prefetch->snapshot->epoch() == snapshot_->epoch());
-
+  QueryPrefetch live;
   QueryContext context;
   context.query = &query;
   context.base = base_;
   context.snapshot = snapshot_.get();
   context.k = base_->k();
   context.match_limit = base_->k();
-  context.prefetch = prefetch_usable ? prefetch : nullptr;
   context.trace_match = true;
   context.segment = &simple_.segment();
   SearchResult result;
+  // Everything after the claim runs under the try: a throwing walk must
+  // abandon the claim, or every later Search of this query would wait on
+  // it forever.
   try {
+    if (!prefetch_usable) {
+      ASUP_TRACE_STAGE(obs::Stage::kMatch);
+      live = simple_.PrefetchMatchesIn(snapshot_, query);
+      prefetch = &live;
+    }
+    context.prefetch = prefetch;
     chain_.Run(context);
     result = std::move(context.result);
   } catch (...) {

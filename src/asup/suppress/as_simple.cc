@@ -71,12 +71,17 @@ bool AsSimpleEngine::IsActivated(DocId doc) const {
 }
 
 QueryPrefetch AsSimpleEngine::PrefetchMatches(const KeywordQuery& query) const {
+  return PrefetchMatchesIn(base_->PinSnapshot(), query);
+}
+
+QueryPrefetch AsSimpleEngine::PrefetchMatchesIn(
+    SnapshotHandle snapshot, const KeywordQuery& query) const {
   QueryPrefetch prefetch;
   // Line 5: M(q) = the min(|q|, γ·k) highest-ranked matching documents — a
   // pure function of one epoch's immutable index, never of Θ_R. The pinned
   // snapshot rides along so the commit phase can tell whether the epoch
   // moved in between.
-  prefetch.snapshot = base_->PinSnapshot();
+  prefetch.snapshot = std::move(snapshot);
   prefetch.ranked = base_->TopMatchesIn(*prefetch.snapshot, query, m_limit_);
   return prefetch;
 }

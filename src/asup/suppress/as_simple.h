@@ -172,6 +172,12 @@ class AsSimpleEngine : public PrefetchableService {
   AsSimpleEngine(MatchingEngine& base, const AsSimpleConfig& config,
                  SnapshotHandle snapshot);
 
+  /// The read-only match phase against `snapshot`: M(q), the top γ·k
+  /// matches, with |Sel(q)|. PrefetchMatches runs it on the current epoch;
+  /// AS-ARBI runs it for its batch prefetches and its live misses alike.
+  QueryPrefetch PrefetchMatchesIn(SnapshotHandle snapshot,
+                                  const KeywordQuery& query) const;
+
   /// Cache-wrapped processing shared by Search and SearchPrefetched;
   /// migrates lazily until the state epoch matches the base's current one.
   SearchResult SearchImpl(const KeywordQuery& query,

@@ -1,12 +1,15 @@
 #include "asup/index/inverted_index.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <span>
 
 #include <gtest/gtest.h>
 
 #include "asup/engine/doc_iterator.h"
 #include "asup/engine/query_node.h"
+#include "asup/engine/scoring.h"
 #include "asup/text/synthetic_corpus.h"
 
 namespace asup {
@@ -23,9 +26,42 @@ QueryNode AndOf(const std::vector<TermId>& terms) {
   return QueryNode::And(std::move(children));
 }
 
-std::vector<MatchedDoc> Match(const InvertedIndex& index,
-                              const std::vector<TermId>& terms) {
-  return ExecuteMatch(index, AndOf(terms), terms);
+// Scores every match 0 and records the frequencies the top-k kernel read
+// for it, in walk order.
+class RecordingScorer : public ScoringFunction {
+ public:
+  double ScoreMatch(const ScoringContext&, double,
+                    std::span<const uint32_t> freqs) const override {
+    seen.emplace_back(freqs.begin(), freqs.end());
+    return 0.0;
+  }
+  mutable std::vector<std::vector<uint32_t>> seen;
+
+ protected:
+  double TermFactor(const IndexStats&, size_t) const override { return 0.0; }
+};
+
+// A match as the kernel saw it: the document and its scoring frequencies.
+struct KernelMatch {
+  uint32_t local_doc;
+  std::vector<uint32_t> freqs;
+};
+
+std::vector<KernelMatch> Match(const InvertedIndex& index,
+                               const std::vector<TermId>& terms) {
+  RecordingScorer scorer;
+  const RankedMatches ranked =
+      ExecuteTopK(index, AndOf(terms), terms, scorer,
+                  scorer.MakeContext(index, terms), SIZE_MAX);
+  EXPECT_EQ(ranked.docs.size(), ranked.total_matches);
+  EXPECT_EQ(scorer.seen.size(), ranked.total_matches);
+  // Every score ties at 0, so the ranking is ascending doc id: the walk
+  // order the frequencies were recorded in.
+  std::vector<KernelMatch> matches;
+  for (size_t i = 0; i < ranked.docs.size(); ++i) {
+    matches.push_back({index.LocalOf(ranked.docs[i].doc), scorer.seen[i]});
+  }
+  return matches;
 }
 
 size_t Count(const InvertedIndex& index, const std::vector<TermId>& terms) {

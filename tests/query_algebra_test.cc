@@ -1,16 +1,25 @@
 // Property tests of the iterator algebra (engine/doc_iterator.h): random
 // And/Or/Not trees over random corpora, checked against a brute-force
-// set-algebra oracle that never touches the index or the iterators.
+// set-algebra oracle that never touches the index or the iterators, and
+// the top-k kernel checked against a brute-force score-and-sort reference
+// through the plain and the sharded engine.
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "asup/engine/doc_iterator.h"
 #include "asup/engine/query_node.h"
+#include "asup/engine/scoring.h"
+#include "asup/engine/search_engine.h"
+#include "asup/engine/sharded_service.h"
 #include "asup/index/inverted_index.h"
+#include "asup/index/sharded_index.h"
 #include "asup/text/synthetic_corpus.h"
 #include "asup/util/random.h"
 
@@ -93,28 +102,58 @@ Corpus SmallCorpus(uint64_t seed, size_t docs) {
   return generator.Generate(docs);
 }
 
+// Brute-force ranking: scores every oracle match from the document's own
+// frequencies and sorts by RankBefore — no heap, no aligned iterators.
+std::vector<ScoredDoc> ReferenceRanking(const InvertedIndex& index,
+                                        const QueryNode& node,
+                                        std::span<const TermId> terms,
+                                        const ScoringFunction& scorer) {
+  const ScoringContext context = scorer.MakeContext(index, terms);
+  std::vector<ScoredDoc> ranked;
+  for (uint32_t local : Oracle(index, node)) {
+    const Document& doc = index.DocAt(local);
+    std::vector<uint32_t> freqs;
+    for (TermId term : terms) freqs.push_back(doc.FrequencyOf(term));
+    ranked.push_back(
+        {index.LocalToId(local),
+         scorer.ScoreMatch(context, static_cast<double>(doc.length()),
+                           freqs)});
+  }
+  std::sort(ranked.begin(), ranked.end(), RankBefore);
+  return ranked;
+}
+
+// The first `limit` of `reference`, bitwise (ids and scores), and the
+// exact total.
+void ExpectTopK(const RankedMatches& got,
+                const std::vector<ScoredDoc>& reference, size_t limit) {
+  EXPECT_EQ(got.total_matches, reference.size());
+  ASSERT_EQ(got.docs.size(), std::min(limit, reference.size()));
+  for (size_t i = 0; i < got.docs.size(); ++i) {
+    EXPECT_EQ(got.docs[i].doc, reference[i].doc) << "rank " << i;
+    EXPECT_EQ(got.docs[i].score, reference[i].score) << "rank " << i;
+  }
+}
+
 void ExpectTreeMatchesOracle(const InvertedIndex& index,
                              const QueryNode& node) {
   const std::set<uint32_t> expected_set = Oracle(index, node);
   const std::vector<uint32_t> expected(expected_set.begin(),
                                        expected_set.end());
+  // The kernel, unbounded, must rank every match with the score its true
+  // per-term frequencies give.
+  const std::vector<TermId> terms = node.CollectTerms();
+  const Bm25Scorer scorer;
+  const std::vector<ScoredDoc> reference =
+      ReferenceRanking(index, node, terms, scorer);
   for (const OrStrategy strategy :
        {OrStrategy::kAdaptive, OrStrategy::kFlat, OrStrategy::kHeap}) {
     EXPECT_EQ(ExecuteLocals(index, node, strategy), expected);
     EXPECT_EQ(ExecuteCount(index, node, strategy), expected.size());
-  }
-  // ExecuteMatch must agree on the documents and report each one's true
-  // per-term frequencies for the tree's terms.
-  const std::vector<TermId> terms = node.CollectTerms();
-  const std::vector<MatchedDoc> matches = ExecuteMatch(index, node, terms);
-  ASSERT_EQ(matches.size(), expected.size());
-  for (size_t i = 0; i < matches.size(); ++i) {
-    EXPECT_EQ(matches[i].local_doc, expected[i]);
-    ASSERT_EQ(matches[i].freqs.size(), terms.size());
-    for (size_t t = 0; t < terms.size(); ++t) {
-      EXPECT_EQ(matches[i].freqs[t],
-                index.DocAt(matches[i].local_doc).FrequencyOf(terms[t]));
-    }
+    ExpectTopK(ExecuteTopK(index, node, terms, scorer,
+                           scorer.MakeContext(index, terms), SIZE_MAX,
+                           strategy),
+               reference, SIZE_MAX);
   }
 }
 
@@ -129,6 +168,74 @@ TEST_P(QueryAlgebraTest, RandomTreesMatchSetAlgebraOracle) {
     const QueryNode node = RandomTree(rng, vocab, 3);
     ExpectTreeMatchesOracle(index, node);
   }
+}
+
+// SmallCorpus with every third document repeated next to itself and every
+// fifth repeated at the end of the id range (in another shard), so equal
+// scores are frequent and the local-id tie-break decides ranks, within a
+// shard and across shards.
+Corpus CorpusWithDuplicates(uint64_t seed, size_t docs) {
+  const Corpus base = SmallCorpus(seed, docs);
+  std::vector<Document> out;
+  for (const Document& doc : base.documents()) {
+    const DocId id = doc.id();
+    out.emplace_back(2 * id, doc.terms(), doc.length());
+    if (id % 3 == 0) out.emplace_back(2 * id + 1, doc.terms(), doc.length());
+    if (id % 5 == 0) {
+      out.emplace_back(static_cast<DocId>(2 * docs + id), doc.terms(),
+                       doc.length());
+    }
+  }
+  return Corpus(base.vocabulary_ptr(), std::move(out));
+}
+
+TEST_P(QueryAlgebraTest, TopKMatchesBruteForceReference) {
+  const Corpus corpus = CorpusWithDuplicates(700 + GetParam(), 120);
+  const InvertedIndex index(corpus);
+  std::vector<std::unique_ptr<ShardedInvertedIndex>> sharded;
+  for (size_t shards : {1, 2, 4}) {
+    sharded.push_back(std::make_unique<ShardedInvertedIndex>(corpus, shards));
+  }
+  const size_t k = 10;
+  const size_t gamma_k = 20;
+  const size_t vocab = corpus.vocabulary().size();
+  Rng rng(41 + GetParam());
+  size_t ties = 0;
+  for (int scorer_kind = 0; scorer_kind < 2; ++scorer_kind) {
+    const auto make_scorer = [&]() -> std::unique_ptr<ScoringFunction> {
+      if (scorer_kind == 0) return std::make_unique<Bm25Scorer>();
+      return std::make_unique<TfIdfScorer>();
+    };
+    const std::unique_ptr<ScoringFunction> scorer = make_scorer();
+    std::vector<std::unique_ptr<MatchingEngine>> engines;
+    engines.push_back(
+        std::make_unique<PlainSearchEngine>(index, k, make_scorer()));
+    for (const auto& shards : sharded) {
+      engines.push_back(std::make_unique<ShardedSearchService>(
+          *shards, k, nullptr, make_scorer()));
+    }
+    for (int round = 0; round < 60; ++round) {
+      const QueryNode node = RandomTree(rng, vocab, 3);
+      const std::vector<TermId> terms = node.CollectTerms();
+      const std::vector<ScoredDoc> reference =
+          ReferenceRanking(index, node, terms, *scorer);
+      for (size_t i = 1; i < reference.size(); ++i) {
+        ties += reference[i - 1].score == reference[i].score ? 1 : 0;
+      }
+      const size_t sel = reference.size();
+      for (size_t e = 0; e < engines.size(); ++e) {
+        for (size_t limit : {size_t{0}, size_t{1}, k, gamma_k, sel, sel + 1}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "scorer " << scorer_kind << " engine " << e
+                       << " round " << round << " limit " << limit);
+          ExpectTopK(engines[e]->TopMatchesNode(node, terms, limit),
+                     reference, limit);
+        }
+      }
+    }
+  }
+  // The duplicates must actually put tied scores in play.
+  EXPECT_GT(ties, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryAlgebraTest,

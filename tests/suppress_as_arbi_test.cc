@@ -1,6 +1,10 @@
 #include "asup/suppress/as_arbi.h"
 
+#include <cmath>
 #include <set>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -134,6 +138,119 @@ TEST(AsArbiTest, AnswersAreSubsetsOfMatches) {
       EXPECT_TRUE(matches.count(scored.doc)) << w;
     }
   }
+}
+
+// Counts the calls a defense makes into the engine layer — the four
+// MatchingEngine virtuals — and forwards each to `base`. With `throw_next_top`
+// set, the next TopMatchesNodeIn throws instead.
+class CountingEngine final : public MatchingEngine {
+ public:
+  struct Calls {
+    size_t top = 0;
+    size_t count = 0;
+    size_t ids = 0;
+    size_t rank = 0;
+  };
+
+  explicit CountingEngine(const MatchingEngine& base) : base_(&base) {}
+
+  size_t k() const override { return base_->k(); }
+  SnapshotHandle PinSnapshot() const override { return base_->PinSnapshot(); }
+
+  RankedMatches TopMatchesNodeIn(const CorpusSnapshot& snapshot,
+                                 const QueryNode& node,
+                                 std::span<const TermId> score_terms,
+                                 size_t limit) const override {
+    ++calls.top;
+    if (throw_next_top) {
+      throw_next_top = false;
+      throw std::runtime_error("posting walk failed");
+    }
+    return base_->TopMatchesNodeIn(snapshot, node, score_terms, limit);
+  }
+  size_t MatchCountNodeIn(const CorpusSnapshot& snapshot,
+                          const QueryNode& node) const override {
+    ++calls.count;
+    return base_->MatchCountNodeIn(snapshot, node);
+  }
+  std::vector<DocId> MatchIdsNodeIn(const CorpusSnapshot& snapshot,
+                                    const QueryNode& node) const override {
+    ++calls.ids;
+    return base_->MatchIdsNodeIn(snapshot, node);
+  }
+  std::vector<ScoredDoc> RankDocsIn(const CorpusSnapshot& snapshot,
+                                    const KeywordQuery& query,
+                                    std::span<const DocId> docs)
+      const override {
+    ++calls.rank;
+    return base_->RankDocsIn(snapshot, query, docs);
+  }
+
+  mutable Calls calls;
+  mutable bool throw_next_top = false;
+
+ private:
+  const MatchingEngine* base_;
+};
+
+// A live miss walks the postings once: M(q) = top-γk carries |Sel(q)| for
+// the trigger and feeds the fall-through. Match ids cost one more walk,
+// only when the trigger is plausible and the history could cover the
+// query; a cache hit reaches no engine entry point at all.
+TEST(AsArbiTest, LiveMissWalksThePostingsOnce) {
+  Rig rig = MakeTopicalRig(1050, 50);
+  CountingEngine counting(*rig.engine);
+  const AsArbiConfig config;
+  AsArbiEngine defended(counting, config);
+  size_t id_walks = 0;
+  for (const auto& q : CorrelatedFamily(rig, 9)) {
+    SCOPED_TRACE(q.canonical());
+    const size_t sel = rig.engine->MatchCount(q);
+    const bool plausible =
+        config.cover_ratio * static_cast<double>(sel) <=
+        static_cast<double>(config.cover_size * rig.engine->k());
+    const auto need = static_cast<size_t>(
+        std::ceil(config.cover_ratio * static_cast<double>(sel)));
+    const bool coverable = defended.history().NumQueries() > 0 &&
+                           defended.history().NumDocumentsSeen() >= need;
+    const uint64_t virtuals = defended.stats().virtual_answers;
+
+    counting.calls = {};
+    const SearchResult first = defended.Search(q);
+    EXPECT_EQ(counting.calls.top, 1u);
+    EXPECT_EQ(counting.calls.count, 0u);
+    const size_t expected_ids = sel > 0 && plausible && coverable ? 1 : 0;
+    EXPECT_EQ(counting.calls.ids, expected_ids);
+    EXPECT_EQ(counting.calls.rank,
+              defended.stats().virtual_answers - virtuals);
+    id_walks += counting.calls.ids;
+
+    counting.calls = {};
+    const SearchResult again = defended.Search(q);
+    EXPECT_EQ(counting.calls.top + counting.calls.count +
+                  counting.calls.ids + counting.calls.rank,
+              0u);
+    EXPECT_EQ(again.DocIds(), first.DocIds());
+  }
+  // The family is built to reach the cover search.
+  EXPECT_GT(id_walks, 0u);
+}
+
+// A live miss claims its cache key before it walks the postings. A walk
+// that throws must abandon the claim: otherwise every later Search of the
+// query would wait forever on an answer that is never published.
+TEST(AsArbiTest, ThrowingLiveWalkReleasesTheCacheClaim) {
+  Rig rig = MakeTopicalRig(1050, 50);
+  CountingEngine counting(*rig.engine);
+  AsArbiEngine defended(counting, AsArbiConfig{});
+  AsArbiEngine reference(*rig.engine, AsArbiConfig{});
+  const KeywordQuery q = CorrelatedFamily(rig, 1).front();
+
+  counting.throw_next_top = true;
+  EXPECT_THROW(defended.Search(q), std::runtime_error);
+  const SearchResult retried = defended.Search(q);
+  EXPECT_EQ(retried.DocIds(), reference.Search(q).DocIds());
+  EXPECT_EQ(defended.stats().cache_hits, 0u);
 }
 
 class AsArbiCoverSizeSweep : public ::testing::TestWithParam<size_t> {};
