@@ -13,6 +13,7 @@
 #include "asup/engine/search_engine.h"
 #include "asup/index/corpus_manager.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/suppress/segment.h"
 #include "asup/text/corpus_delta.h"
@@ -248,6 +249,81 @@ TEST(EpochMigrationTest, LazyMigrationHappensOnNextSearch) {
   EXPECT_EQ(engine.StateEpoch(), manager.CurrentEpoch());
   EXPECT_EQ(engine.stats().epoch_migrations, 1u);
   EXPECT_EQ(engine.segment().corpus_size(), 450u);
+}
+
+// Runs a query log, publishes a delta removing every document the defense
+// returned, and re-issues the log: no answer after the publish may contain
+// a removed document (the answer cache must not replay across epochs).
+// Returns the removed documents for history checks.
+std::set<DocId> ReissueAfterRemovingReturned(SearchService& engine,
+                                             CorpusManager& manager) {
+  const Vocabulary& vocabulary = manager.Current()->corpus().vocabulary();
+  std::vector<KeywordQuery> log;
+  for (const char* text :
+       {"sports", "game", "team", "score", "league", "coach", "season",
+        "sports game", "sports team", "game score", "team league"}) {
+    log.push_back(KeywordQuery::Parse(vocabulary, text));
+  }
+  std::set<DocId> returned;
+  for (const KeywordQuery& query : log) {
+    for (const DocId doc : engine.Search(query).DocIds()) {
+      returned.insert(doc);
+    }
+  }
+  EXPECT_FALSE(returned.empty());
+
+  CorpusDelta removal;
+  removal.remove.assign(returned.begin(), returned.end());
+  manager.Apply(removal);
+  size_t served_removed = 0;
+  for (const KeywordQuery& query : log) {
+    for (const DocId doc : engine.Search(query).DocIds()) {
+      served_removed += returned.count(doc);
+    }
+  }
+  EXPECT_EQ(served_removed, 0u) << "removed documents served after publish";
+  return returned;
+}
+
+void ExpectHistoryExcludes(const HistoryStore& history,
+                           const std::set<DocId>& removed) {
+  for (size_t i = 0; i < history.NumQueries(); ++i) {
+    for (const DocId doc : history.QueryAt(i).answer) {
+      EXPECT_EQ(removed.count(doc), 0u)
+          << "history entry " << i << " kept removed document " << doc;
+    }
+  }
+}
+
+TEST(EpochMigrationTest, PublishRemovingReturnedDocsNeverServesThem) {
+  SyntheticCorpusGenerator generator(GenConfig());
+  {
+    CorpusManager manager(generator.Generate(600));
+    PlainSearchEngine base(manager, 5);
+    AsSimpleEngine engine(base, AsSimpleConfig{});
+    ReissueAfterRemovingReturned(engine, manager);
+  }
+  {
+    CorpusManager manager(generator.Generate(600));
+    PlainSearchEngine base(manager, 5);
+    AsArbiEngine engine(base, AsArbiConfig{});
+    const std::set<DocId> removed =
+        ReissueAfterRemovingReturned(engine, manager);
+    ExpectHistoryExcludes(engine.history(), removed);
+  }
+}
+
+TEST(EpochMigrationTest, DeclineNeverServesRemovedDocsAfterPublish) {
+  // AS-DECLINE keeps the same per-epoch guarantee as the other defenses:
+  // its answer cache is cleared and its history compacted on migration.
+  SyntheticCorpusGenerator generator(GenConfig());
+  CorpusManager manager(generator.Generate(600));
+  PlainSearchEngine base(manager, 5);
+  AsDeclineEngine engine(base, AsDeclineConfig{});
+  const std::set<DocId> removed =
+      ReissueAfterRemovingReturned(engine, manager);
+  EXPECT_GT(engine.history().NumQueries(), 0u);
+  ExpectHistoryExcludes(engine.history(), removed);
 }
 
 }  // namespace
