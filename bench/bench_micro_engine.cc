@@ -9,7 +9,6 @@
 
 #include "asup/engine/doc_iterator.h"
 #include "asup/engine/parallel_service.h"
-#include "asup/engine/pipeline/result_processor.h"
 #include "asup/engine/query_node.h"
 #include "asup/engine/scoring.h"
 #include "asup/engine/search_engine.h"
@@ -74,36 +73,6 @@ void BM_PlainSearch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PlainSearch);
-
-// The composable chain run end to end with the optional engine-layer
-// stages attached (pluggable TF-IDF ranker + facet histogram) — the cost
-// of stage dispatch plus rescoring, against BM_PlainSearch's monolithic
-// interface call as the baseline.
-void BM_PipelineRescoreFacet(benchmark::State& state) {
-  MicroEnv& env = Env();
-  const auto& log = env.workload->log();
-  ProcessorChain chain;
-  chain.Add(std::make_unique<MatchProcessor>())
-      .Add(std::make_unique<InterfaceStatusProcessor>())
-      .Add(std::make_unique<RescoreProcessor>(std::make_unique<TfIdfScorer>()))
-      .Add(std::make_unique<FacetCountProcessor>(16));
-  const SnapshotHandle snapshot = env.engine->PinSnapshot();
-  size_t i = 0;
-  for (auto _ : state) {
-    QueryContext context;
-    context.query = &log[i];
-    context.base = env.engine.get();
-    context.snapshot = snapshot.get();
-    context.k = env.engine->k();
-    context.match_limit = env.engine->k();
-    chain.Run(context);
-    benchmark::DoNotOptimize(context.result.docs.size());
-    benchmark::DoNotOptimize(context.facet_buckets.size());
-    i = (i + 1) % log.size();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PipelineRescoreFacet);
 
 void BM_AsSimpleSearch(benchmark::State& state) {
   MicroEnv& env = Env();

@@ -48,10 +48,10 @@ void CheckArbi(asup::PlainSearchEngine& base, const std::string& bytes) {
   asup::AsArbiEngine engine(base, config);
   std::istringstream in(bytes);
   if (!asup::LoadDefenseState(engine, in)) {
-    // Unchanged on failure — including the inner AS-SIMPLE state, which the
-    // loader stages so a corrupt history section cannot half-commit.
+    // Unchanged on failure — including Θ_R, which the loader rolls back so
+    // a corrupt history or cache section cannot half-commit.
     FUZZ_ASSERT(engine.history().NumQueries() == 0);
-    FUZZ_ASSERT(engine.simple_engine().NumActivatedDocs() == 0);
+    FUZZ_ASSERT(engine.NumActivatedDocs() == 0);
     return;
   }
   std::ostringstream save1;
@@ -60,8 +60,7 @@ void CheckArbi(asup::PlainSearchEngine& base, const std::string& bytes) {
   std::istringstream in2(save1.str());
   FUZZ_ASSERT(asup::LoadDefenseState(replay, in2));
   FUZZ_ASSERT(replay.history().NumQueries() == engine.history().NumQueries());
-  FUZZ_ASSERT(replay.simple_engine().NumActivatedDocs() ==
-              engine.simple_engine().NumActivatedDocs());
+  FUZZ_ASSERT(replay.NumActivatedDocs() == engine.NumActivatedDocs());
   std::ostringstream save2;
   FUZZ_ASSERT(asup::SaveDefenseState(replay, save2));
   FUZZ_ASSERT(save2.str() == save1.str());

@@ -78,31 +78,6 @@ class BatchExecutor {
   ThreadPool* pool_;
 };
 
-/// Decorator exposing a thread-safe base service as a batch-parallel one.
-class ParallelSearchService : public SearchService {
- public:
-  /// `base` must be internally thread-safe (the plain engine, the defended
-  /// engines, or a SynchronizedService). Both are borrowed.
-  ParallelSearchService(SearchService& base, ThreadPool& pool)
-      : base_(&base), pool_(&pool) {}
-
-  SearchResult Search(const KeywordQuery& query) override {
-    return base_->Search(query);
-  }
-
-  size_t k() const override { return base_->k(); }
-
-  /// Answers the whole batch concurrently, results in input order.
-  std::vector<SearchResult> SearchBatch(
-      std::span<const KeywordQuery> queries) {
-    return BatchExecutor(*pool_).ExecuteConcurrent(*base_, queries);
-  }
-
- private:
-  SearchService* base_;
-  ThreadPool* pool_;
-};
-
 }  // namespace asup
 
 #endif  // ASUP_ENGINE_PARALLEL_SERVICE_H_

@@ -1,41 +1,21 @@
 #include "asup/engine/pipeline/result_processor.h"
 
-#include <algorithm>
-#include <map>
+#include <utility>
 
 #include "asup/obs/trace.h"
 #include "asup/util/check.h"
 
 namespace asup {
 
-RankedMatches QueryContext::TopMatches(size_t limit) const {
-  if (node != nullptr) {
-    const std::vector<TermId>& terms =
-        score_terms != nullptr ? *score_terms : query->terms();
-    return snapshot != nullptr
-               ? base->TopMatchesNodeIn(*snapshot, *node, terms, limit)
-               : base->TopMatchesNode(*node, terms, limit);
+const std::vector<DocId>& QueryContext::ResolveMatchIds() {
+  if (prefetch != nullptr && prefetch->has_match_ids) {
+    match_ids = &prefetch->match_ids;
+  } else {
+    ASUP_TRACE_STAGE(obs::Stage::kMatch);
+    owned_match_ids = base->MatchIdsIn(*snapshot, *query);
+    match_ids = &owned_match_ids;
   }
-  return snapshot != nullptr ? base->TopMatchesIn(*snapshot, *query, limit)
-                             : base->TopMatches(*query, limit);
-}
-
-size_t QueryContext::MatchCount() const {
-  if (node != nullptr) {
-    return snapshot != nullptr ? base->MatchCountNodeIn(*snapshot, *node)
-                               : base->MatchCountNode(*node);
-  }
-  return snapshot != nullptr ? base->MatchCountIn(*snapshot, *query)
-                             : base->MatchCount(*query);
-}
-
-std::vector<DocId> QueryContext::MatchIds() const {
-  if (node != nullptr) {
-    return snapshot != nullptr ? base->MatchIdsNodeIn(*snapshot, *node)
-                               : base->MatchIdsNode(*node);
-  }
-  return snapshot != nullptr ? base->MatchIdsIn(*snapshot, *query)
-                             : base->MatchIds(*query);
+  return *match_ids;
 }
 
 ProcessorChain& ProcessorChain::Add(
@@ -48,6 +28,7 @@ ProcessorChain& ProcessorChain::Add(
 void ProcessorChain::Run(QueryContext& context) const {
   ASUP_CHECK(context.query != nullptr);
   ASUP_CHECK(context.base != nullptr);
+  ASUP_CHECK(context.snapshot != nullptr);
   for (const auto& stage : stages_) {
     if (context.finished && !stage->RunsWhenFinished()) continue;
     stage->Process(context);
@@ -55,35 +36,14 @@ void ProcessorChain::Run(QueryContext& context) const {
 }
 
 void MatchProcessor::Process(QueryContext& context) const {
-  if (context.ranked != nullptr) return;
   if (context.prefetch != nullptr) {
     context.ranked = &context.prefetch->ranked;
   } else {
-    if (context.trace_match) {
-      ASUP_TRACE_STAGE(obs::Stage::kMatch);
-      context.owned_ranked = context.TopMatches(context.match_limit);
-    } else {
-      context.owned_ranked = context.TopMatches(context.match_limit);
-    }
+    context.owned_ranked = context.base->TopMatchesIn(
+        *context.snapshot, *context.query, context.match_limit);
     context.ranked = &context.owned_ranked;
   }
   context.match_count = context.ranked->total_matches;
-  context.have_match_count = true;
-}
-
-void MatchCountProcessor::Process(QueryContext& context) const {
-  if (context.have_match_count) return;
-  if (context.ranked != nullptr) {
-    context.match_count = context.ranked->total_matches;
-  } else if (context.prefetch != nullptr) {
-    context.match_count = context.prefetch->ranked.total_matches;
-  } else if (context.trace_match) {
-    ASUP_TRACE_STAGE(obs::Stage::kMatch);
-    context.match_count = context.MatchCount();
-  } else {
-    context.match_count = context.MatchCount();
-  }
-  context.have_match_count = true;
 }
 
 void InterfaceStatusProcessor::Process(QueryContext& context) const {
@@ -105,50 +65,10 @@ void InterfaceStatusProcessor::Process(QueryContext& context) const {
 }
 
 void UnderflowGuardProcessor::Process(QueryContext& context) const {
-  ASUP_CHECK(context.have_match_count);
+  ASUP_CHECK(context.ranked != nullptr);
   if (context.match_count != 0) return;
   context.result.status = QueryStatus::kUnderflow;
   context.finished = true;
-}
-
-void RescoreProcessor::Process(QueryContext& context) const {
-  if (context.result.docs.empty()) return;
-  // The scoring context needs a single-index view of the corpus; every
-  // manager-built snapshot has one (borrowed sharded deployments rescore
-  // via their own service instead).
-  SnapshotHandle pinned;
-  const CorpusSnapshot* snapshot = context.snapshot;
-  if (snapshot == nullptr) {
-    pinned = context.base->PinSnapshot();
-    snapshot = pinned.get();
-  }
-  if (!snapshot->has_index()) return;
-  const InvertedIndex& index = snapshot->index();
-  const auto& terms = context.query->terms();
-  const ScoringContext scoring = scorer_->MakeContext(index, terms);
-  for (ScoredDoc& entry : context.result.docs) {
-    entry.score = scorer_->ScoreDocument(
-        scoring, index.DocAt(index.LocalOf(entry.doc)), terms);
-  }
-  std::sort(context.result.docs.begin(), context.result.docs.end(),
-            RankBefore);
-}
-
-void FacetCountProcessor::Process(QueryContext& context) const {
-  if (context.result.docs.empty()) return;
-  SnapshotHandle pinned;
-  const CorpusSnapshot* snapshot = context.snapshot;
-  if (snapshot == nullptr) {
-    pinned = context.base->PinSnapshot();
-    snapshot = pinned.get();
-  }
-  const Corpus& corpus = snapshot->corpus();
-  std::map<uint64_t, size_t> buckets;
-  for (const ScoredDoc& entry : context.result.docs) {
-    const uint64_t length = corpus.Get(entry.doc).length();
-    ++buckets[(length / bucket_width_) * bucket_width_];
-  }
-  context.facet_buckets.assign(buckets.begin(), buckets.end());
 }
 
 const ProcessorChain& InterfaceProcessorChain() {

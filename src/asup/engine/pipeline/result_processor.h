@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "asup/engine/parallel_service.h"
-#include "asup/engine/scoring.h"
 #include "asup/engine/search_engine.h"
 #include "asup/engine/search_service.h"
 
@@ -27,36 +25,20 @@ class IndistinguishableSegment;
 struct QueryContext {
   // --- inputs, set by the engine before Run ---
   const KeywordQuery* query = nullptr;
-  /// Boolean query tree overriding `query`'s match semantics: when set,
-  /// the match stages compile and execute this tree (through the node
-  /// entry points of MatchingEngine) instead of lowering `query`'s
-  /// conjunction. Null for every conjunctive caller — `query` then lowers
-  /// to its And-of-terms tree inside the engine, same algebra either way.
-  const QueryNode* node = nullptr;
-  /// Scoring terms for `node` (per-term frequency/df inputs); null means
-  /// query->terms(). Ignored when `node` is null.
-  const std::vector<TermId>* score_terms = nullptr;
   MatchingEngine* base = nullptr;
-  /// The epoch every match/rank call resolves against. Null only for
-  /// engines with no epoch pinning (AS-DECLINE), whose match stages then
-  /// pin the current epoch per call — exactly the pre-pipeline behavior.
+  /// The epoch every match/rank call resolves against. Required.
   const CorpusSnapshot* snapshot = nullptr;
   /// The interface's result limit k.
   size_t k = 0;
   /// Cap for the match stage: k for the plain interface, γ·k for the
-  /// suppression engines (|M(q)| = min(|Sel(q)|, γ·k)).
+  /// defenses (|M(q)| = min(|Sel(q)|, γ·k)).
   size_t match_limit = 0;
   /// Precomputed M(q) (and maybe match ids) of the pinned epoch: a batch
-  /// prefetch from BatchExecutor's deterministic mode, or, on an AS-ARBI
-  /// cache miss, M(q) computed live; AS-ARBI replaces a stale batch
-  /// prefetch by the live one before Run. Null for the plain, AS-SIMPLE
-  /// and AS-DECLINE live paths.
+  /// prefetch from BatchExecutor's deterministic mode, or, on a defended
+  /// cache miss, M(q) computed live. Null only on the undefended interface
+  /// path, whose match stage walks the postings itself.
   const QueryPrefetch* prefetch = nullptr;
-  /// Whether a live match stage opens an obs span (the defended engines
-  /// trace it; the undefended interface path never did).
-  bool trace_match = false;
-  /// Segment arithmetic of the engine's pinned epoch, when the engine has
-  /// one (AS-SIMPLE and everything built on it). Read-only.
+  /// Segment arithmetic of the defense's pinned epoch. Read-only.
   const IndistinguishableSegment* segment = nullptr;
 
   // --- match-phase state ---
@@ -64,10 +46,10 @@ struct QueryContext {
   /// `owned_ranked` computed live.
   const RankedMatches* ranked = nullptr;
   RankedMatches owned_ranked;
-  /// |Sel(q)|.
+  /// |Sel(q)|, set by the match stage.
   size_t match_count = 0;
-  bool have_match_count = false;
-  /// All matching document ids, ascending (AS-ARBI's cover evaluation).
+  /// All matching document ids, ascending (the cover evaluation), once
+  /// ResolveMatchIds ran.
   const std::vector<DocId>* match_ids = nullptr;
   std::vector<DocId> owned_match_ids;
 
@@ -80,38 +62,28 @@ struct QueryContext {
   /// stages with RunsWhenFinished() still run.
   bool finished = false;
 
-  // --- observables consumed by the shared recording stage ---
+  // --- observables consumed by the recording stages ---
   uint64_t docs_hidden = 0;
-  uint64_t docs_reshown = 0;
   uint64_t docs_trimmed = 0;
-  /// Emit a kSegmentProbe for this query (|Sel(q)| went through the
-  /// suppression path).
-  bool probe_ready = false;
+  /// The answer comes from the AS-SIMPLE stages: the record stage emits a
+  /// kSegmentProbe for it and the history stage records it.
+  bool simple_path = false;
   bool cover_found = false;
   size_t cover_answers_used = 0;
   /// Union of the covering historic answers, extracted under the history
   /// lock by the cover stage so the virtual-answer stage needs no lock.
   std::vector<DocId> cover_pool;
   bool virtual_answered = false;
-  /// The query fell through to the inner AS-SIMPLE engine (AS-ARBI /
-  /// AS-DECLINE chains; gates the history-record stage).
-  bool fell_through = false;
 
-  // --- aggregation output (FacetCountProcessor) ---
-  /// (bucket lower bound, count) pairs, ascending by bucket.
-  std::vector<std::pair<uint64_t, size_t>> facet_buckets;
-
-  // Match helpers dispatching to the pinned epoch when one is set, the
-  // current epoch otherwise.
-  RankedMatches TopMatches(size_t limit) const;
-  size_t MatchCount() const;
-  std::vector<DocId> MatchIds() const;
+  /// The match ids of the query: the prefetch's when it carries them,
+  /// otherwise one id walk against the pinned epoch. Sets `match_ids`.
+  const std::vector<DocId>& ResolveMatchIds();
 };
 
 /// One pipeline stage. Stateless with respect to the query: all per-query
 /// state lives in the QueryContext, so one processor instance may serve
-/// concurrent queries (the suppression processors reach engine state that
-/// is itself internally synchronized or lock-guarded by the caller).
+/// concurrent queries (the suppression processors reach defense state that
+/// is internally synchronized or takes its own lock).
 class ResultProcessor {
  public:
   virtual ~ResultProcessor() = default;
@@ -148,21 +120,12 @@ class ProcessorChain {
   std::vector<std::unique_ptr<ResultProcessor>> stages_;
 };
 
-/// Match stage: ensures M(q) is available — the prefetched ranked matches
-/// when usable, a live TopMatches(match_limit) against the pinned epoch
-/// otherwise.
+/// Match stage: ensures M(q) and |Sel(q)| are available — the prefetched
+/// ranked matches when present, a live top-`match_limit` walk against the
+/// pinned epoch otherwise.
 class MatchProcessor : public ResultProcessor {
  public:
   const char* name() const override { return "match"; }
-  void Process(QueryContext& context) const override;
-};
-
-/// Count stage: ensures |Sel(q)| is available without necessarily ranking
-/// anything. AS-ARBI always arrives with a prefetch and takes the count
-/// from it; only AS-DECLINE still reaches the count walk.
-class MatchCountProcessor : public ResultProcessor {
- public:
-  const char* name() const override { return "match_count"; }
   void Process(QueryContext& context) const override;
 };
 
@@ -174,47 +137,12 @@ class InterfaceStatusProcessor : public ResultProcessor {
   void Process(QueryContext& context) const override;
 };
 
-/// Finalizes an empty answer when nothing matched; requires a prior count
-/// or match stage. Every defended chain starts its stateful half with this.
+/// Finalizes an empty answer when nothing matched; requires a prior match
+/// stage. The history-backed chains start their stateful half with this.
 class UnderflowGuardProcessor : public ResultProcessor {
  public:
   const char* name() const override { return "underflow_guard"; }
   void Process(QueryContext& context) const override;
-};
-
-/// Pluggable-ranker stage: re-scores the final answer with an alternate
-/// ScoringFunction and re-sorts it in the engine's deterministic order
-/// (descending score, ties by ascending doc id). Composing this after a
-/// status stage demonstrates that rankers beyond the engine's built-in
-/// BM25 drop into the pipeline without touching any engine.
-class RescoreProcessor : public ResultProcessor {
- public:
-  explicit RescoreProcessor(std::unique_ptr<ScoringFunction> scorer)
-      : scorer_(std::move(scorer)) {}
-
-  const char* name() const override { return "rescore"; }
-  bool RunsWhenFinished() const override { return true; }
-  void Process(QueryContext& context) const override;
-
- private:
-  std::unique_ptr<ScoringFunction> scorer_;
-};
-
-/// Aggregation stage: histograms the answer's documents by token length
-/// into fixed-width buckets (facet_buckets, ascending). The faceted /
-/// aggregation scenario the chain makes cheap: it composes after any
-/// status stage, defended or not, and reads only the context.
-class FacetCountProcessor : public ResultProcessor {
- public:
-  explicit FacetCountProcessor(uint64_t bucket_width)
-      : bucket_width_(bucket_width == 0 ? 1 : bucket_width) {}
-
-  const char* name() const override { return "facet_count"; }
-  bool RunsWhenFinished() const override { return true; }
-  void Process(QueryContext& context) const override;
-
- private:
-  uint64_t bucket_width_;
 };
 
 /// The undefended interface chain (match → interface status) shared by

@@ -3,23 +3,18 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 
-#include "asup/engine/answer_cache.h"
-#include "asup/engine/parallel_service.h"
 #include "asup/engine/search_engine.h"
-#include "asup/engine/search_service.h"
 #include "asup/suppress/as_simple.h"
-#include "asup/suppress/cover_finder.h"
+#include "asup/suppress/defended_engine.h"
 #include "asup/suppress/history_store.h"
-#include "asup/util/annotated_mutex.h"
 
 namespace asup {
 
 /// Configuration of AS-ARBI (paper Algorithm 2).
 struct AsArbiConfig {
-  /// Parameters of the inner AS-SIMPLE engine.
+  /// Parameters of the AS-SIMPLE stages (their cache_answers is ignored:
+  /// the flag below governs the one answer cache).
   AsSimpleConfig simple;
 
   /// Cover size m: maximum number of historic answers that may virtually
@@ -42,11 +37,11 @@ struct AsArbiStats {
   uint64_t cache_hits = 0;
   /// Queries answered by virtual query processing.
   uint64_t virtual_answers = 0;
-  /// Queries passed through to AS-SIMPLE.
+  /// Queries passed through to the AS-SIMPLE stages.
   uint64_t simple_answers = 0;
   /// Queries for which the (cheap) trigger evaluation ran.
   uint64_t trigger_evaluations = 0;
-  /// Epoch migrations performed (history compacted, inner state remapped).
+  /// Epoch migrations performed (history compacted, Θ_R remapped).
   uint64_t epoch_migrations = 0;
 };
 
@@ -59,154 +54,34 @@ struct AsArbiStats {
 /// virtual answer was already disclosed, the adversary learns nothing new —
 /// in particular it cannot observe the LHS-degree decay that AS-SIMPLE's
 /// edge removal would otherwise reveal under highly correlated queries.
-/// Queries that are not covered fall through to AS-SIMPLE and are recorded
-/// in the history.
+/// Queries that are not covered run the AS-SIMPLE stages on the same Θ_R
+/// and are recorded in the history.
 ///
-/// Thread safety: Search may be called from concurrent workers. The history
-/// store (per-document query arrays and 1000-bit signature vectors) sits
-/// behind a reader-writer lock — cover evaluation takes the shared side,
-/// recording a new answer the exclusive side — and two lock-free atomic
-/// pre-screens (recorded-query and disclosed-document counts) let queries
-/// that cannot possibly be covered skip the lock entirely. The engine
-/// implements PrefetchableService for BatchExecutor's deterministic
-/// parallel mode.
-///
-/// Epoch model: like AS-SIMPLE, all suppression state is pinned to one
-/// corpus epoch. A query that finds the base's epoch moved ahead migrates
-/// first: the inner AS-SIMPLE engine is migrated in lockstep (so the two
-/// engines never disagree about μ or Θ_R's indexing), the history is
-/// compacted — deleted documents drop out of every recorded answer, and
-/// answers left empty are removed entirely (they can no longer cover
-/// anything) — and the answer cache is cleared. Lock order is always
-/// outer epoch → inner epoch → history (DESIGN.md §13).
-class AsArbiEngine : public PrefetchableService {
+/// Thread safety and epochs come from the DefendedEngine host: the history
+/// (suppress/defense_state.h) sits behind its own reader-writer lock,
+/// always taken after the epoch lock, and two lock-free prescreens let
+/// queries that cannot possibly be covered skip it. Migration compacts the
+/// history — deleted documents drop out of every recorded answer, and
+/// answers left empty are removed.
+class AsArbiEngine : public DefendedEngine {
  public:
-  // State persistence (suppress/state_io.h) reads and restores the inner
-  // AS-SIMPLE state, the history, and the answer cache directly.
-  friend bool SaveDefenseState(const AsArbiEngine&, std::ostream&);
-  friend bool LoadDefenseState(AsArbiEngine&, std::istream&);
-
-  /// Wraps `base` (borrowed; must outlive this engine) — any
-  /// MatchingEngine (single-index or sharded); suppression and virtual
-  /// query processing run post-merge on the one logical corpus. Pins the
-  /// base's current epoch.
+  /// Wraps `base` (borrowed; must outlive this engine). Pins the base's
+  /// current epoch.
   AsArbiEngine(MatchingEngine& base, const AsArbiConfig& config);
 
-  SearchResult Search(const KeywordQuery& query) override;
-
-  /// Read-only match phase: M(q) for the inner AS-SIMPLE plus — when the
-  /// trigger is size-plausible — the full match-id list the cover
-  /// evaluation needs. Independent of suppression state; pins the base's
-  /// current epoch into the prefetch.
-  QueryPrefetch PrefetchMatches(const KeywordQuery& query) const override;
-
-  SearchResult SearchPrefetched(const KeywordQuery& query,
-                                const QueryPrefetch& prefetch) override;
-
-  bool HasCachedAnswer(const KeywordQuery& query) const override;
-
-  size_t k() const override { return base_->k(); }
-
   const AsArbiConfig& config() const { return config_; }
-  /// Quiesced accessor for tests and experiments: hands out a reference to
-  /// the history without its lock, so the analysis is opted out here.
-  const HistoryStore& history() const ASUP_NO_THREAD_SAFETY_ANALYSIS {
-    return history_;
-  }
-  const AsSimpleEngine& simple_engine() const { return simple_; }
-  const IndistinguishableSegment& segment() const {
-    return simple_.segment();
-  }
 
-  /// Epoch the suppression state is currently pinned to.
-  uint64_t StateEpoch() const ASUP_EXCLUDES(epoch_mutex_);
-
-  /// Eagerly migrates the state (inner engine, history, cache) to the
-  /// base's current epoch (queries do this lazily on their own).
-  void MigrateToCurrentEpoch() ASUP_EXCLUDES(epoch_mutex_);
+  /// Quiesced accessor for tests and experiments.
+  const HistoryStore& history() const { return history_state().store(); }
 
   /// Snapshot of the processing counters (consistent only when quiesced).
   AsArbiStats stats() const;
 
  private:
-  // The pipeline stages this engine's chain is composed of (Algorithm 2
-  // decomposed; suppress/processors.h). They read the history, its lock,
-  // the prescreen mirrors, and the counters through this friendship;
-  // lock-guarded epoch inputs (snapshot, segment) reach them only through
-  // the QueryContext the engine fills under its epoch lock.
-  friend class AsArbiCoverProcessor;
-  friend class AsArbiVirtualProcessor;
-  friend class AsArbiFallthroughProcessor;
-  friend class AsArbiHistoryProcessor;
-
-  /// Cache-wrapped processing; migrates lazily until the state epoch
-  /// matches the base's current one.
-  SearchResult SearchImpl(const KeywordQuery& query,
-                          const QueryPrefetch* prefetch)
-      ASUP_EXCLUDES(epoch_mutex_, history_mutex_);
-
-  /// Cache claim + Process + publish against the pinned epoch. A prefetch
-  /// from a different epoch is discarded and the match phase recomputed
-  /// live.
-  SearchResult SearchStateLocked(const KeywordQuery& query,
-                                 const QueryPrefetch* prefetch)
-      ASUP_REQUIRES_SHARED(epoch_mutex_) ASUP_EXCLUDES(history_mutex_);
-
-  /// Takes the exclusive epoch lock and migrates inner engine, history and
-  /// cache to `target`.
-  void MigrateTo(const SnapshotHandle& target)
-      ASUP_EXCLUDES(epoch_mutex_, history_mutex_);
-
-  /// Drops deleted documents from every recorded answer and removes
-  /// answers left empty; refreshes the prescreen mirrors.
-  void CompactHistoryLocked(const CorpusSnapshot& to)
-      ASUP_REQUIRES(epoch_mutex_, history_mutex_);
-
-  /// True when m historic answers of at most k documents each could reach
-  /// σ·|Sel(q)| documents — a pure size argument, no state involved.
-  bool TriggerPlausible(size_t match_count) const;
-
-  MatchingEngine* base_;
   AsArbiConfig config_;
-  /// Guards the epoch-pinned state (snapshot_, the history's document
-  /// universe, the cache's validity): shared for query processing,
-  /// exclusive for migration. Ordered before simple_ so the constructor
-  /// can hand the pinned snapshot to the inner engine. The declared
-  /// acquisition order (epoch before history) is the DAG of DESIGN.md §13;
-  /// inversions are a compile error under -Wthread-safety-beta.
-  mutable SharedMutex epoch_mutex_ ASUP_ACQUIRED_BEFORE(history_mutex_);
-  /// The epoch the suppression state is expressed against; the inner
-  /// AS-SIMPLE engine is always pinned to the same epoch.
-  SnapshotHandle snapshot_ ASUP_GUARDED_BY(epoch_mutex_);
-  AsSimpleEngine simple_;
-  HistoryStore history_ ASUP_GUARDED_BY(history_mutex_);
-  /// Traverses history_ internally; callers hold history_mutex_ around
-  /// finder_.Find (the analysis cannot see through the stored reference).
-  CoverFinder finder_;
-  AnswerCache answer_cache_;
-
-  /// Guards history_ (and finder_'s traversals of it): shared for cover
-  /// evaluation, exclusive for Record and epoch compaction.
-  mutable SharedMutex history_mutex_;
-  /// Lock-free mirrors of history_.NumQueries() / NumDocumentsSeen() for
-  /// pre-screening; they may lag the store, which only makes the screen
-  /// more conservative (a just-recorded cover is found on the next query).
-  std::atomic<size_t> history_queries_{0};
-  std::atomic<size_t> history_docs_seen_{0};
-
-  struct {
-    std::atomic<uint64_t> queries_processed{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> virtual_answers{0};
-    std::atomic<uint64_t> simple_answers{0};
-    std::atomic<uint64_t> trigger_evaluations{0};
-    std::atomic<uint64_t> epoch_migrations{0};
-  } stats_;
-  /// Algorithm 2 as a processor chain: match count → sel-size note →
-  /// underflow guard → cover → virtual → fall-through → history record →
-  /// record. Composed once at construction, immutable afterwards; run per
-  /// query under the shared epoch lock.
-  ProcessorChain chain_;
+  std::atomic<uint64_t> virtual_answers_{0};
+  std::atomic<uint64_t> simple_answers_{0};
+  std::atomic<uint64_t> trigger_evaluations_{0};
 };
 
 }  // namespace asup

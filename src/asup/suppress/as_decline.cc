@@ -1,55 +1,32 @@
 #include "asup/suppress/as_decline.h"
 
 #include <memory>
-#include <utility>
 
 #include "asup/suppress/processors.h"
 
 namespace asup {
 
-namespace {
-
-AsSimpleConfig InnerSimpleConfig(const AsDeclineConfig& config) {
-  AsSimpleConfig inner = config.simple;
-  inner.cache_answers = false;  // this engine caches final answers itself
-  return inner;
-}
-
-}  // namespace
-
 AsDeclineEngine::AsDeclineEngine(MatchingEngine& base,
                                  const AsDeclineConfig& config)
-    : base_(&base),
-      config_(config),
-      simple_(base, InnerSimpleConfig(config)),
-      finder_(history_, config.cover_size, config.cover_ratio) {
-  chain_.Add(std::make_unique<MatchCountProcessor>())
+    : DefendedEngine(base, config.simple, config.cache_answers,
+                     std::make_unique<QueryHistory>(
+                         config.cover_size, config.cover_ratio, base.k())) {
+  chain_.Add(std::make_unique<MatchProcessor>())
       .Add(std::make_unique<UnderflowGuardProcessor>())
-      .Add(std::make_unique<AsDeclineTriggerProcessor>(*this))
-      .Add(std::make_unique<AsDeclineFallthroughProcessor>(*this));
+      .Add(std::make_unique<AsDeclineProcessor>(history_state(), declined_,
+                                                simple_answers_));
+  AddSimpleStages();
+  chain_.Add(std::make_unique<HistoryRecordProcessor>(history_state()))
+      .Add(std::make_unique<DefenseRecordProcessor>());
 }
 
-SearchResult AsDeclineEngine::Search(const KeywordQuery& query) {
-  ++stats_.queries_processed;
-  if (config_.cache_answers) {
-    auto it = answer_cache_.find(query.canonical());
-    if (it != answer_cache_.end()) {
-      ++stats_.cache_hits;
-      return it->second;
-    }
-  }
-
-  // No snapshot in the context: this engine is serial and epoch-agnostic,
-  // so every match helper resolves against the base's current pin.
-  QueryContext context;
-  context.query = &query;
-  context.base = base_;
-  context.k = base_->k();
-  context.match_limit = base_->k();
-  chain_.Run(context);
-  SearchResult result = std::move(context.result);
-  if (config_.cache_answers) answer_cache_.emplace(query.canonical(), result);
-  return result;
+AsDeclineStats AsDeclineEngine::stats() const {
+  AsDeclineStats stats;
+  stats.queries_processed = queries_processed();
+  stats.cache_hits = cache_hits();
+  stats.declined = declined_.load(std::memory_order_relaxed);
+  stats.simple_answers = simple_answers_.load(std::memory_order_relaxed);
+  return stats;
 }
 
 }  // namespace asup

@@ -1,13 +1,12 @@
 #ifndef ASUP_SUPPRESS_AS_DECLINE_H_
 #define ASUP_SUPPRESS_AS_DECLINE_H_
 
-#include <string>
-#include <unordered_map>
+#include <atomic>
+#include <cstdint>
 
 #include "asup/engine/search_engine.h"
-#include "asup/engine/search_service.h"
 #include "asup/suppress/as_simple.h"
-#include "asup/suppress/cover_finder.h"
+#include "asup/suppress/defended_engine.h"
 #include "asup/suppress/history_store.h"
 
 namespace asup {
@@ -37,36 +36,23 @@ struct AsDeclineStats {
 /// different queries ("sigmod 2012" / "acm sigmod 2012") get refusals
 /// where AS-ARBI would answer virtually. Implemented to make that
 /// comparison measurable (see bench_ablation_decline).
-class AsDeclineEngine : public SearchService {
+///
+/// Epochs, history compaction, the answer cache and thread safety come
+/// from the DefendedEngine host, exactly as for AS-ARBI. The state is not
+/// persisted.
+class AsDeclineEngine : public DefendedEngine {
  public:
   AsDeclineEngine(MatchingEngine& base, const AsDeclineConfig& config);
 
-  SearchResult Search(const KeywordQuery& query) override;
+  /// Quiesced accessor for tests and experiments.
+  const HistoryStore& history() const { return history_state().store(); }
 
-  size_t k() const override { return base_->k(); }
-
-  const AsDeclineStats& stats() const { return stats_; }
-  const HistoryStore& history() const { return history_; }
-  const AsSimpleEngine& simple_engine() const { return simple_; }
+  /// Snapshot of the processing counters (consistent only when quiesced).
+  AsDeclineStats stats() const;
 
  private:
-  // The pipeline stages this engine's chain is composed of (the decline
-  // trigger and the AS-SIMPLE fall-through; suppress/processors.h). This
-  // engine is serial, so the stages touch its state directly.
-  friend class AsDeclineTriggerProcessor;
-  friend class AsDeclineFallthroughProcessor;
-
-  MatchingEngine* base_;
-  AsDeclineConfig config_;
-  AsSimpleEngine simple_;
-  HistoryStore history_;
-  CoverFinder finder_;
-  std::unordered_map<std::string, SearchResult> answer_cache_;
-  AsDeclineStats stats_;
-  /// Section 5.2's decline defense as a processor chain: match count →
-  /// underflow guard → decline trigger → fall-through. Composed once at
-  /// construction, immutable afterwards.
-  ProcessorChain chain_;
+  std::atomic<uint64_t> declined_{0};
+  std::atomic<uint64_t> simple_answers_{0};
 };
 
 }  // namespace asup

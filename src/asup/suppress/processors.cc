@@ -7,9 +7,6 @@
 
 #include "asup/obs/event_log.h"
 #include "asup/obs/trace.h"
-#include "asup/suppress/as_arbi.h"
-#include "asup/suppress/as_decline.h"
-#include "asup/suppress/as_simple.h"
 #include "asup/suppress/segment.h"
 #include "asup/util/check.h"
 
@@ -19,7 +16,7 @@ void AsSimpleGuardProcessor::Process(QueryContext& context) const {
   const RankedMatches& ranked = *context.ranked;
   const size_t m_size = ranked.docs.size();
   // Algorithm 1 line 5: |M(q)| = min(|Sel(q)|, γ·k).
-  ASUP_CHECK_LE(m_size, engine_->m_limit_);
+  ASUP_CHECK_LE(m_size, context.match_limit);
   ASUP_CHECK_LE(m_size, ranked.total_matches);
   if (ranked.total_matches == 0) {
     context.result.status = QueryStatus::kUnderflow;
@@ -27,8 +24,9 @@ void AsSimpleGuardProcessor::Process(QueryContext& context) const {
     return;
   }
   // Every query that reaches the suppression stages gets a segment probe
-  // (the watchtower's selectivity-stratum feature).
-  context.probe_ready = true;
+  // (the watchtower's selectivity-stratum feature) and, under a history,
+  // a record of its answer.
+  context.simple_path = true;
 }
 
 void AsSimpleHideProcessor::Process(QueryContext& context) const {
@@ -54,10 +52,9 @@ void AsSimpleHideProcessor::Process(QueryContext& context) const {
   {
     ASUP_TRACE_STAGE(obs::Stage::kHide);
     for (const ScoredDoc& scored : ranked.docs) {
-      if (engine_->returned_before_.TestAndSet(
-              context.snapshot->LocalOf(scored.doc))) {
-        if (engine_->coin_.Accept(context.query->hash(), scored.doc,
-                                  keep_probability)) {
+      if (returned_->TestAndSet(context.snapshot->LocalOf(scored.doc))) {
+        if (returned_->coin().Accept(context.query->hash(), scored.doc,
+                                     keep_probability)) {
           context.docs.push_back(scored);
           ++reshown;
         } else {
@@ -68,9 +65,7 @@ void AsSimpleHideProcessor::Process(QueryContext& context) const {
       }
     }
   }
-  if (hidden != 0) {
-    engine_->stats_.docs_hidden.fetch_add(hidden, std::memory_order_relaxed);
-  }
+  if (hidden != 0) returned_->CountHidden(hidden);
   ASUP_METRIC_COUNT("asup_suppress_docs_hidden_total", hidden);
   ASUP_METRIC_COUNT("asup_suppress_docs_reshown_total", reshown);
   ASUP_TRACE_NOTE("match_count", ranked.total_matches);
@@ -79,14 +74,12 @@ void AsSimpleHideProcessor::Process(QueryContext& context) const {
   ASUP_TRACE_NOTE("mu", context.segment->mu());
   ASUP_TRACE_NOTE("gamma", context.segment->gamma());
   context.docs_hidden = hidden;
-  context.docs_reshown = reshown;
   // Θ_R monotonicity: TestAndSet only ever sets bits, so after the loop
   // every document of M(q) — kept, hidden, or about to be trimmed — is
   // activated (Algorithm 1 runs line 14 after the loop; §5.1 depends on
   // all of M(q) entering Θ_R).
   ASUP_CONTRACTS_ONLY(for (const ScoredDoc& scored : ranked.docs) {
-    ASUP_DCHECK(
-        engine_->returned_before_.Test(context.snapshot->LocalOf(scored.doc)));
+    ASUP_DCHECK(returned_->Test(context.snapshot->LocalOf(scored.doc)));
   })
   ASUP_CHECK_EQ(context.docs.size() + hidden, m_size);
 }
@@ -104,7 +97,7 @@ void AsSimpleTrimProcessor::Process(QueryContext& context) const {
   const size_t keep = std::min(lhs_target, context.k);
   if (context.docs.size() > keep) {
     const uint64_t trimmed = context.docs.size() - keep;
-    engine_->stats_.docs_trimmed.fetch_add(trimmed, std::memory_order_relaxed);
+    returned_->CountTrimmed(trimmed);
     ASUP_METRIC_COUNT("asup_suppress_docs_trimmed_total", trimmed);
     ASUP_TRACE_NOTE("docs_trimmed", trimmed);
     context.docs_trimmed = trimmed;
@@ -136,7 +129,7 @@ void DefenseRecordProcessor::Process(QueryContext& context) const {
     ASUP_EVENT_EMIT(kAnswerHidden, query.client_id(), query.hash(),
                     context.docs_hidden, 0);
   }
-  if (context.probe_ready) {
+  if (context.simple_path) {
     // The query's selectivity stratum: which γ-segment |Sel(q)| falls into.
     // Estimators that walk the answer-size strata (stratified, dynamic)
     // hop between strata far more often than bona fide traffic, which
@@ -169,60 +162,35 @@ void SelSizeNoteProcessor::Process(QueryContext& context) const {
 }
 
 void AsArbiCoverProcessor::Process(QueryContext& context) const {
-  if (!engine_->TriggerPlausible(context.match_count)) return;
-  engine_->stats_.trigger_evaluations.fetch_add(1, std::memory_order_relaxed);
+  if (!history_->TriggerPlausible(context.match_count)) return;
+  trigger_evaluations_->fetch_add(1, std::memory_order_relaxed);
   ASUP_METRIC_COUNT("asup_suppress_arbi_trigger_evals_total", 1);
-  // Lock-free pre-screen: with no recorded answer, or fewer documents
-  // ever disclosed than the coverage target, no cover can exist — skip
-  // the history lock entirely.
-  const size_t need = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::ceil(engine_->config_.cover_ratio *
-                       static_cast<double>(context.match_count))));
-  if (engine_->history_queries_.load(std::memory_order_acquire) == 0 ||
-      engine_->history_docs_seen_.load(std::memory_order_acquire) < need) {
-    return;
-  }
-  if (context.prefetch != nullptr && context.prefetch->has_match_ids) {
-    context.match_ids = &context.prefetch->match_ids;
-  } else {
-    {
-      ASUP_TRACE_STAGE(obs::Stage::kMatch);
-      context.owned_match_ids = context.MatchIds();
-    }
-    context.match_ids = &context.owned_match_ids;
-  }
-  ReaderLock lock(engine_->history_mutex_);
+  // Lock-free pre-screen: with no recorded answer, or fewer documents ever
+  // disclosed than the coverage target, no cover can exist — skip the id
+  // walk and the history lock entirely.
+  if (!history_->MayCover(context.match_count)) return;
+  const std::vector<DocId>& match_ids = context.ResolveMatchIds();
   CoverResult cover;
   {
     ASUP_TRACE_STAGE(obs::Stage::kCover);
-    cover = engine_->finder_.Find(*context.match_ids);
+    cover = history_->FindCover(match_ids, &context.cover_pool);
   }
   if (!cover.found) return;
-  engine_->stats_.virtual_answers.fetch_add(1, std::memory_order_relaxed);
+  virtual_answers_->fetch_add(1, std::memory_order_relaxed);
   ASUP_METRIC_COUNT("asup_suppress_arbi_virtual_answers_total", 1);
   ASUP_TRACE_NOTE("cover_answers_used", cover.query_indices.size());
-  // Algorithm 2's cover contract: at most m historic answers...
-  ASUP_CHECK(!cover.query_indices.empty());
-  ASUP_CHECK_LE(cover.query_indices.size(), engine_->config_.cover_size);
   context.cover_found = true;
   context.cover_answers_used = cover.query_indices.size();
-  // Union of the covering historic answers, read while still holding the
-  // history lock (shared side) the cover search ran under.
-  for (uint32_t qi : cover.query_indices) {
-    ASUP_CHECK_LT(qi, engine_->history_.NumQueries());
-    const auto& answer = engine_->history_.QueryAt(qi).answer;
-    context.cover_pool.insert(context.cover_pool.end(), answer.begin(),
-                              answer.end());
-  }
-  std::sort(context.cover_pool.begin(), context.cover_pool.end());
-  context.cover_pool.erase(
-      std::unique(context.cover_pool.begin(), context.cover_pool.end()),
-      context.cover_pool.end());
 }
 
 void AsArbiVirtualProcessor::Process(QueryContext& context) const {
-  if (!context.cover_found) return;
+  if (!context.cover_found) {
+    // Lines 6-8: fall through to the AS-SIMPLE stages, and record the
+    // answer after them.
+    simple_answers_->fetch_add(1, std::memory_order_relaxed);
+    ASUP_METRIC_COUNT("asup_suppress_arbi_simple_answers_total", 1);
+    return;
+  }
   ASUP_TRACE_STAGE(obs::Stage::kVirtual);
   const std::vector<DocId>& match_ids = *context.match_ids;
   // q ∩ (Res(q1) ∪ ... ∪ Res(qu)); both inputs are ascending.
@@ -238,10 +206,10 @@ void AsArbiVirtualProcessor::Process(QueryContext& context) const {
   // no new query–document edge and no fresh degree evidence).
   ASUP_CONTRACTS_ONLY(
       const auto need = static_cast<size_t>(
-          std::ceil(engine_->config_.cover_ratio *
+          std::ceil(history_->cover_ratio() *
                     static_cast<double>(match_ids.size())));
       ASUP_CHECK(virtual_ids.size() >= need); for (DocId doc : virtual_ids) {
-        ASUP_DCHECK(engine_->simple_.IsActivated(doc));
+        ASUP_DCHECK(returned_->Test(context.snapshot->LocalOf(doc)));
       })
 
   if (virtual_ids.empty()) {
@@ -267,69 +235,22 @@ void AsArbiVirtualProcessor::Process(QueryContext& context) const {
   context.finished = true;
 }
 
-void AsArbiFallthroughProcessor::Process(QueryContext& context) const {
-  // Lines 6-8: fall through to AS-SIMPLE and remember the answer. The
-  // inner engine is driven pinned to our snapshot — it was migrated in
-  // lockstep, so the epochs agree by construction.
-  engine_->stats_.simple_answers.fetch_add(1, std::memory_order_relaxed);
-  ASUP_METRIC_COUNT("asup_suppress_arbi_simple_answers_total", 1);
-  context.result = engine_->simple_.SearchPinned(*context.query,
-                                                 context.prefetch,
-                                                 *context.snapshot);
-  context.fell_through = true;
-  context.finished = true;
-}
-
-void AsArbiHistoryProcessor::Process(QueryContext& context) const {
-  if (!context.fell_through || context.result.docs.empty()) return;
-  ASUP_TRACE_STAGE(obs::Stage::kHistoryRecord);
-  WriterLock lock(engine_->history_mutex_);
-  ASUP_CONTRACTS_ONLY(
-      const size_t queries_before = engine_->history_.NumQueries();
-      const size_t docs_before = engine_->history_.NumDocumentsSeen();)
-  engine_->history_.Record(*context.query, context.result.DocIds());
-  // Within one epoch the history only ever grows — answers, once
-  // disclosed, cannot be retracted; the cover trigger's lock-free
-  // prescreen relies on the mirrors being monotone lower bounds of the
-  // store. (Epoch compaction may shrink both, but only with every
-  // prescreen reader quiesced behind the exclusive epoch lock.)
-  ASUP_CONTRACTS_ONLY(
-      ASUP_CHECK_EQ(engine_->history_.NumQueries(), queries_before + 1);
-      ASUP_CHECK(engine_->history_.NumDocumentsSeen() >= docs_before);)
-  engine_->history_docs_seen_.store(engine_->history_.NumDocumentsSeen(),
-                                    std::memory_order_release);
-  engine_->history_queries_.store(engine_->history_.NumQueries(),
-                                  std::memory_order_release);
-  ASUP_METRIC_GAUGE_SET("asup_suppress_history_queries",
-                        engine_->history_.NumQueries());
-  ASUP_METRIC_GAUGE_SET("asup_suppress_history_docs_seen",
-                        engine_->history_.NumDocumentsSeen());
-}
-
-void AsDeclineTriggerProcessor::Process(QueryContext& context) const {
-  const double max_coverable = static_cast<double>(
-      engine_->config_.cover_size * context.k);
-  if (engine_->config_.cover_ratio *
-          static_cast<double>(context.match_count) >
-      max_coverable) {
+void AsDeclineProcessor::Process(QueryContext& context) const {
+  if (history_->TriggerPlausible(context.match_count) &&
+      history_->MayCover(context.match_count) &&
+      history_->FindCover(context.ResolveMatchIds(), nullptr).found) {
+    declined_->fetch_add(1, std::memory_order_relaxed);
+    context.result.status = QueryStatus::kDeclined;
+    context.finished = true;
     return;
   }
-  context.owned_match_ids = context.MatchIds();
-  context.match_ids = &context.owned_match_ids;
-  if (!engine_->finder_.Find(*context.match_ids).found) return;
-  ++engine_->stats_.declined;
-  context.result.status = QueryStatus::kDeclined;
-  context.finished = true;
+  simple_answers_->fetch_add(1, std::memory_order_relaxed);
 }
 
-void AsDeclineFallthroughProcessor::Process(QueryContext& context) const {
-  ++engine_->stats_.simple_answers;
-  context.result = engine_->simple_.Search(*context.query);
-  context.fell_through = true;
-  if (!context.result.docs.empty()) {
-    engine_->history_.Record(*context.query, context.result.DocIds());
-  }
-  context.finished = true;
+void HistoryRecordProcessor::Process(QueryContext& context) const {
+  if (!context.simple_path || context.result.docs.empty()) return;
+  ASUP_TRACE_STAGE(obs::Stage::kHistoryRecord);
+  history_->Record(*context.query, context.result.DocIds());
 }
 
 }  // namespace asup

@@ -3,42 +3,41 @@
 
 /// Suppression defenses as pipeline stages.
 ///
-/// Each of the paper's run-time defenses decomposes into small
-/// ResultProcessor stages over the shared QueryContext (see
-/// engine/pipeline/result_processor.h): AS-SIMPLE is guard → hide → trim →
-/// emulated status, AS-ARBI prepends cover → virtual answer and appends a
-/// history record, AS-DECLINE swaps the virtual stage for a refusal. Every
-/// chain ends in the shared DefenseRecordProcessor, which emits the
+/// Each of the paper's run-time defenses is one ResultProcessor chain over
+/// the shared QueryContext (see engine/pipeline/result_processor.h),
+/// composed by its DefendedEngine subclass:
+///
+///   AS-SIMPLE   match → guard → hide → trim → emulated status → record
+///   AS-ARBI     match → sel-size note → underflow guard → cover → virtual
+///               → guard → hide → trim → emulated status → history → record
+///   AS-DECLINE  match → underflow guard → decline → guard → hide → trim
+///               → emulated status → history → record
+///
+/// Every chain ends in the shared DefenseRecordProcessor, which emits the
 /// defense-observability events — including the segment probe, computed
 /// once here via the overflow-safe IndistinguishableSegment::IndexOf
 /// instead of ad-hoc log-ratio arithmetic.
 ///
-/// The processors hold a pointer to their engine and are composed by that
-/// engine's constructor; the engine's Search path populates the context's
-/// lock-guarded inputs (snapshot, segment) while holding its epoch lock, so
-/// stages themselves never touch annotated engine state directly — except
-/// the AS-ARBI history stages, which take history_mutex_ themselves (the
-/// capability analysis checks those acquisitions syntactically).
+/// A stage is constructed with the state objects (suppress/defense_state.h)
+/// and counters it touches; the host fills the context's lock-guarded
+/// inputs (snapshot, segment) while holding its epoch lock. The history
+/// takes its own lock inside its methods.
+
+#include <atomic>
+#include <cstdint>
 
 #include "asup/engine/pipeline/result_processor.h"
+#include "asup/suppress/defense_state.h"
 
 namespace asup {
 
-class AsSimpleEngine;
-class AsArbiEngine;
-class AsDeclineEngine;
-
 /// Algorithm 1 preconditions: |M(q)| ≤ min(|Sel(q)|, γ·k), underflow
-/// short-circuit on an empty match set, and arming the segment probe for
-/// every query that proceeds.
+/// short-circuit on an empty match set, and marking every query that
+/// proceeds as answered by the AS-SIMPLE stages.
 class AsSimpleGuardProcessor : public ResultProcessor {
  public:
-  explicit AsSimpleGuardProcessor(AsSimpleEngine& engine) : engine_(&engine) {}
   const char* name() const override { return "simple_guard"; }
   void Process(QueryContext& context) const override;
-
- private:
-  AsSimpleEngine* engine_;
 };
 
 /// Algorithm 1 lines 7-13: per-document edge removal against Θ_R with the
@@ -46,23 +45,25 @@ class AsSimpleGuardProcessor : public ResultProcessor {
 /// enters Θ_R.
 class AsSimpleHideProcessor : public ResultProcessor {
  public:
-  explicit AsSimpleHideProcessor(AsSimpleEngine& engine) : engine_(&engine) {}
+  explicit AsSimpleHideProcessor(ReturnedSet& returned)
+      : returned_(&returned) {}
   const char* name() const override { return "hide"; }
   void Process(QueryContext& context) const override;
 
  private:
-  AsSimpleEngine* engine_;
+  ReturnedSet* returned_;
 };
 
 /// Algorithm 1 line 14: trim the survivors to min(|M(q)|/μ, k).
 class AsSimpleTrimProcessor : public ResultProcessor {
  public:
-  explicit AsSimpleTrimProcessor(AsSimpleEngine& engine) : engine_(&engine) {}
+  explicit AsSimpleTrimProcessor(ReturnedSet& returned)
+      : returned_(&returned) {}
   const char* name() const override { return "trim"; }
   void Process(QueryContext& context) const override;
 
  private:
-  AsSimpleEngine* engine_;
+  ReturnedSet* returned_;
 };
 
 /// Status in the *emulated* corpus: the defended engine behaves as if q
@@ -74,11 +75,10 @@ class EmulatedStatusProcessor : public ResultProcessor {
 };
 
 /// Shared terminal stage: emits the defense-observability events the
-/// watchtower consumes, in the engines' historical order (hidden → segment
-/// probe → trimmed → cover → virtual). The segment probe is the γ-segment
-/// of |Sel(q)|, computed via IndistinguishableSegment::IndexOf — the same
-/// overflow-safe multiply loop as the segment constructor, never
-/// trunc(log n / log γ).
+/// watchtower consumes, in a fixed order (hidden → segment probe → trimmed
+/// → cover → virtual). The segment probe is the γ-segment of |Sel(q)|,
+/// computed via IndistinguishableSegment::IndexOf — the same overflow-safe
+/// multiply loop as the segment constructor, never trunc(log n / log γ).
 class DefenseRecordProcessor : public ResultProcessor {
  public:
   const char* name() const override { return "record"; }
@@ -96,80 +96,75 @@ class SelSizeNoteProcessor : public ResultProcessor {
 /// Algorithm 2's cover trigger: size-plausibility check, lock-free
 /// prescreen, match-id resolution, and the cover search under the history
 /// lock. On success the covering answers' document pool is extracted into
-/// the context (still under the lock) for the virtual stage.
+/// the context for the virtual stage.
 class AsArbiCoverProcessor : public ResultProcessor {
  public:
-  explicit AsArbiCoverProcessor(AsArbiEngine& engine) : engine_(&engine) {}
+  AsArbiCoverProcessor(const QueryHistory& history,
+                       std::atomic<uint64_t>& trigger_evaluations,
+                       std::atomic<uint64_t>& virtual_answers)
+      : history_(&history),
+        trigger_evaluations_(&trigger_evaluations),
+        virtual_answers_(&virtual_answers) {}
   const char* name() const override { return "cover"; }
   void Process(QueryContext& context) const override;
 
  private:
-  AsArbiEngine* engine_;
+  const QueryHistory* history_;
+  std::atomic<uint64_t>* trigger_evaluations_;
+  std::atomic<uint64_t>* virtual_answers_;
 };
 
 /// Virtual query processing: q ∩ (Res(q1) ∪ ... ∪ Res(qu)), ranked by the
 /// base engine and capped at k, with the same emulated-overflow status as
-/// AS-SIMPLE.
+/// AS-SIMPLE. An uncovered query falls through to the AS-SIMPLE stages.
 class AsArbiVirtualProcessor : public ResultProcessor {
  public:
-  explicit AsArbiVirtualProcessor(AsArbiEngine& engine) : engine_(&engine) {}
+  AsArbiVirtualProcessor(const QueryHistory& history,
+                         const ReturnedSet& returned,
+                         std::atomic<uint64_t>& simple_answers)
+      : history_(&history),
+        returned_(&returned),
+        simple_answers_(&simple_answers) {}
   const char* name() const override { return "virtual"; }
   void Process(QueryContext& context) const override;
 
  private:
-  AsArbiEngine* engine_;
+  const QueryHistory* history_;
+  const ReturnedSet* returned_;
+  std::atomic<uint64_t>* simple_answers_;
 };
 
-/// Uncovered queries fall through to the inner AS-SIMPLE engine, pinned to
-/// the outer engine's epoch.
-class AsArbiFallthroughProcessor : public ResultProcessor {
+/// AS-DECLINE's trigger: the same cover evaluation as AS-ARBI, but a
+/// covered query is refused outright (kDeclined); an uncovered one falls
+/// through to the AS-SIMPLE stages.
+class AsDeclineProcessor : public ResultProcessor {
  public:
-  explicit AsArbiFallthroughProcessor(AsArbiEngine& engine)
-      : engine_(&engine) {}
-  const char* name() const override { return "simple_fallthrough"; }
+  AsDeclineProcessor(const QueryHistory& history,
+                     std::atomic<uint64_t>& declined,
+                     std::atomic<uint64_t>& simple_answers)
+      : history_(&history),
+        declined_(&declined),
+        simple_answers_(&simple_answers) {}
+  const char* name() const override { return "decline"; }
   void Process(QueryContext& context) const override;
 
  private:
-  AsArbiEngine* engine_;
+  const QueryHistory* history_;
+  std::atomic<uint64_t>* declined_;
+  std::atomic<uint64_t>* simple_answers_;
 };
 
-/// Records a non-empty fall-through answer into the history (exclusive
-/// lock) and refreshes the lock-free prescreen mirrors.
-class AsArbiHistoryProcessor : public ResultProcessor {
+/// Records a non-empty AS-SIMPLE answer into the history.
+class HistoryRecordProcessor : public ResultProcessor {
  public:
-  explicit AsArbiHistoryProcessor(AsArbiEngine& engine) : engine_(&engine) {}
+  explicit HistoryRecordProcessor(QueryHistory& history)
+      : history_(&history) {}
   const char* name() const override { return "history_record"; }
   bool RunsWhenFinished() const override { return true; }
   void Process(QueryContext& context) const override;
 
  private:
-  AsArbiEngine* engine_;
-};
-
-/// AS-DECLINE's trigger: same cover evaluation as AS-ARBI (serial, no
-/// locks), but a covered query is refused outright (kDeclined).
-class AsDeclineTriggerProcessor : public ResultProcessor {
- public:
-  explicit AsDeclineTriggerProcessor(AsDeclineEngine& engine)
-      : engine_(&engine) {}
-  const char* name() const override { return "decline_trigger"; }
-  void Process(QueryContext& context) const override;
-
- private:
-  AsDeclineEngine* engine_;
-};
-
-/// AS-DECLINE's fall-through: answer via the inner AS-SIMPLE engine and
-/// record the disclosure.
-class AsDeclineFallthroughProcessor : public ResultProcessor {
- public:
-  explicit AsDeclineFallthroughProcessor(AsDeclineEngine& engine)
-      : engine_(&engine) {}
-  const char* name() const override { return "decline_fallthrough"; }
-  void Process(QueryContext& context) const override;
-
- private:
-  AsDeclineEngine* engine_;
+  QueryHistory* history_;
 };
 
 }  // namespace asup

@@ -9,15 +9,15 @@
 #include <utility>
 #include <vector>
 
+#include "asup/util/check.h"
+
 namespace asup {
 
 namespace {
 
 // Format v2 adds the epoch content fingerprint after the config
 // fingerprint; the body is unchanged. v1 snapshots still load.
-constexpr char kSimpleMagicV1[4] = {'A', 'S', 'S', '1'};
 constexpr char kSimpleMagicV2[4] = {'A', 'S', 'S', '2'};
-constexpr char kArbiMagicV1[4] = {'A', 'S', 'A', '1'};
 constexpr char kArbiMagicV2[4] = {'A', 'S', 'A', '2'};
 
 void PutU64(uint64_t value, std::ostream& out) {
@@ -90,37 +90,28 @@ bool GetResult(std::istream& in, SearchResult& result) {
   return true;
 }
 
-// Configuration fingerprint (v1 and v2): a snapshot only replays under the
-// same corpus size, γ, and coin key. v2 appends the epoch *content*
-// fingerprint — document ids, lengths and term frequencies, deliberately
-// not the epoch counter, so incrementally maintained and freshly built
-// engines over the same corpus interoperate byte-for-byte.
-void PutFingerprint(const AsSimpleEngine& engine,
-                    const CorpusSnapshot& snapshot, std::ostream& out) {
-  PutU64(engine.segment().corpus_size(), out);
-  PutDouble(engine.config().gamma, out);
-  PutU64(engine.config().secret_key, out);
-  PutU64(snapshot.Fingerprint(), out);
+using CacheEntries = std::vector<std::pair<std::string, SearchResult>>;
+
+void PutCache(const CacheEntries& entries, std::ostream& out) {
+  PutU64(entries.size(), out);
+  for (const auto& [canonical, result] : entries) {
+    PutString(canonical, out);
+    PutResult(result, out);
+  }
 }
 
-bool CheckFingerprint(const AsSimpleEngine& engine,
-                      const CorpusSnapshot& snapshot, std::istream& in,
-                      bool check_content) {
-  uint64_t corpus_size = 0;
-  double gamma = 0.0;
-  uint64_t key = 0;
-  if (!GetU64(in, corpus_size) || !GetDouble(in, gamma) || !GetU64(in, key)) {
-    return false;
+// Staged in snapshot order (a vector, not a hash map: restore order is part
+// of the deterministic-replay story and must match the file).
+bool GetCache(std::istream& in, CacheEntries& entries) {
+  uint64_t count = 0;
+  if (!GetU64(in, count)) return false;
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string canonical;
+    SearchResult result;
+    if (!GetString(in, canonical) || !GetResult(in, result)) return false;
+    entries.emplace_back(std::move(canonical), std::move(result));
   }
-  if (corpus_size != engine.segment().corpus_size() ||
-      gamma != engine.config().gamma ||
-      key != engine.config().secret_key) {
-    return false;
-  }
-  if (!check_content) return true;  // v1 snapshot: size check only
-  uint64_t content = 0;
-  if (!GetU64(in, content)) return false;
-  return content == snapshot.Fingerprint();
+  return true;
 }
 
 // Reads a 4-byte magic with prefix `kind` ('S' or 'A') and reports the
@@ -136,46 +127,21 @@ int ReadVersion(std::istream& in, char kind) {
 
 }  // namespace
 
-// Quiesced by contract (see state_io.h): guarded state is read lock-free.
-bool SaveDefenseState(const AsSimpleEngine& engine, std::ostream& out)
-    ASUP_NO_THREAD_SAFETY_ANALYSIS {
-  out.write(kSimpleMagicV2, 4);
-  // Θ_R is stored as universe document ids (stable across restarts and
-  // epochs); the engine's atomic bitmap is indexed by dense local id of
-  // the *state's* pinned epoch.
-  const CorpusSnapshot& snapshot = *engine.snapshot_;
-  PutFingerprint(engine, snapshot, out);
-  const std::vector<size_t> locals = engine.returned_before_.SetBits();
+// Θ_R is stored as universe document ids (stable across restarts and
+// epochs); the bitmap is indexed by dense local id of the state's epoch.
+void ReturnedSet::Save(const CorpusSnapshot& snapshot,
+                       std::ostream& out) const {
+  const std::vector<size_t> locals = bits_.SetBits();
   PutU64(locals.size(), out);
   for (size_t local : locals) {
     PutU64(snapshot.LocalToId(static_cast<uint32_t>(local)), out);
   }
-  const auto cache_entries = engine.answer_cache_.Snapshot();
-  PutU64(cache_entries.size(), out);
-  for (const auto& [canonical, result] : cache_entries) {
-    PutString(canonical, out);
-    PutResult(result, out);
-  }
-  out.flush();
-  return static_cast<bool>(out);
 }
 
-// Quiesced by contract (see state_io.h): guarded state is written lock-free.
-bool LoadDefenseState(AsSimpleEngine& engine, std::istream& in)
-    ASUP_NO_THREAD_SAFETY_ANALYSIS {
-  const int version = ReadVersion(in, 'S');
-  if (version == 0) return false;
-  const CorpusSnapshot& snapshot = *engine.snapshot_;
-  if (!CheckFingerprint(engine, snapshot, in,
-                        /*check_content=*/version >= 2)) {
-    return false;
-  }
-
-  // Parse (and validate) everything before touching the engine, so a
-  // corrupt snapshot leaves it unchanged.
-  std::vector<DocId> returned;
+bool ReturnedSet::Load(const CorpusSnapshot& snapshot, std::istream& in) {
   uint64_t count = 0;
   if (!GetU64(in, count) || count > snapshot.NumDocuments()) return false;
+  std::vector<DocId> returned;
   returned.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t doc = 0;
@@ -183,66 +149,31 @@ bool LoadDefenseState(AsSimpleEngine& engine, std::istream& in)
     if (!snapshot.Contains(static_cast<DocId>(doc))) return false;
     returned.push_back(static_cast<DocId>(doc));
   }
-
-  // Staged in snapshot order (a vector, not a hash map: restore order is
-  // part of the deterministic-replay story and must match the file).
-  std::vector<std::pair<std::string, SearchResult>> cache;
-  if (!GetU64(in, count)) return false;
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string canonical;
-    SearchResult result;
-    if (!GetString(in, canonical) || !GetResult(in, result)) return false;
-    cache.emplace_back(std::move(canonical), std::move(result));
-  }
-
-  engine.returned_before_.ClearAll();
-  for (DocId doc : returned) {
-    engine.returned_before_.Set(snapshot.LocalOf(doc));
-  }
-  engine.answer_cache_.Clear();
-  for (auto& [canonical, result] : cache) {
-    engine.answer_cache_.Insert(canonical, std::move(result));
-  }
+  bits_.ClearAll();
+  for (DocId doc : returned) bits_.Set(snapshot.LocalOf(doc));
   return true;
 }
 
-// Quiesced by contract (see state_io.h): guarded state is read lock-free.
-bool SaveDefenseState(const AsArbiEngine& engine, std::ostream& out)
+// Quiesced by contract (see state_io.h): the store is read lock-free.
+void QueryHistory::Save(const CorpusSnapshot& /*snapshot*/,
+                        std::ostream& out) const
     ASUP_NO_THREAD_SAFETY_ANALYSIS {
-  out.write(kArbiMagicV2, 4);
-  if (!SaveDefenseState(engine.simple_, out)) return false;
-  PutU64(engine.history_.NumQueries(), out);
-  for (size_t i = 0; i < engine.history_.NumQueries(); ++i) {
-    const auto& entry = engine.history_.QueryAt(i);
+  // The nested AS-SIMPLE section's answer cache: always empty, AS-ARBI
+  // caches final answers itself.
+  PutU64(0, out);
+  PutU64(store_.NumQueries(), out);
+  for (size_t i = 0; i < store_.NumQueries(); ++i) {
+    const HistoryStore::HistoricQuery& entry = store_.QueryAt(i);
     PutString(entry.query.canonical(), out);
     PutU64(entry.answer.size(), out);
     for (DocId doc : entry.answer) PutU64(doc, out);
   }
-  const auto cache_entries = engine.answer_cache_.Snapshot();
-  PutU64(cache_entries.size(), out);
-  for (const auto& [canonical, result] : cache_entries) {
-    PutString(canonical, out);
-    PutResult(result, out);
-  }
-  out.flush();
-  return static_cast<bool>(out);
 }
 
-// Quiesced by contract (see state_io.h): guarded state is written lock-free.
-bool LoadDefenseState(AsArbiEngine& engine, std::istream& in)
-    ASUP_NO_THREAD_SAFETY_ANALYSIS {
-  const int version = ReadVersion(in, 'A');
-  if (version == 0) return false;
-  // Stage the inner AS-SIMPLE section in a scratch engine: a snapshot whose
-  // history or cache section is corrupt must leave the real engine fully
-  // unchanged, including its inner AS-SIMPLE state. The scratch engine pins
-  // the *real* inner engine's snapshot so the fingerprints and the
-  // local-id mapping agree regardless of what epoch the base is on now.
-  AsSimpleEngine staged(*engine.base_, engine.config_.simple,
-                        engine.simple_.snapshot_);
-  if (!LoadDefenseState(staged, in)) return false;
-
-  const Vocabulary& vocabulary = engine.snapshot_->corpus().vocabulary();
+bool QueryHistory::Load(const CorpusSnapshot& snapshot, std::istream& in) {
+  uint64_t nested_cache = 0;
+  if (!GetU64(in, nested_cache) || nested_cache != 0) return false;
+  const Vocabulary& vocabulary = snapshot.corpus().vocabulary();
   HistoryStore history;
   uint64_t num_queries = 0;
   if (!GetU64(in, num_queries) || num_queries > (1u << 26)) return false;
@@ -260,36 +191,96 @@ bool LoadDefenseState(AsArbiEngine& engine, std::istream& in)
     history.Record(KeywordQuery::Parse(vocabulary, canonical),
                    std::move(answer));
   }
+  WriterLock lock(mutex_);
+  store_ = std::move(history);
+  PublishSizesLocked();
+  return true;
+}
 
-  std::vector<std::pair<std::string, SearchResult>> cache;
-  uint64_t cache_size = 0;
-  if (!GetU64(in, cache_size)) return false;
-  for (uint64_t i = 0; i < cache_size; ++i) {
-    std::string canonical;
-    SearchResult result;
-    if (!GetString(in, canonical) || !GetResult(in, result)) return false;
-    cache.emplace_back(std::move(canonical), std::move(result));
-  }
+// The header carries the configuration fingerprint: a snapshot only
+// replays under the same corpus size, γ, and coin key. v2 appends the
+// epoch *content* fingerprint — document ids, lengths and term
+// frequencies, deliberately not the epoch counter, so incrementally
+// maintained and freshly built engines over the same corpus interoperate
+// byte-for-byte. Quiesced by contract (see state_io.h).
+bool DefendedEngine::SaveState(std::ostream& out) const
+    ASUP_NO_THREAD_SAFETY_ANALYSIS {
+  const CorpusSnapshot& snapshot = *snapshot_;
+  out.write(kSimpleMagicV2, 4);
+  PutU64(segment_.corpus_size(), out);
+  PutDouble(config_.gamma, out);
+  PutU64(config_.secret_key, out);
+  PutU64(snapshot.Fingerprint(), out);
+  for (const DefenseState* state : states_) state->Save(snapshot, out);
+  PutCache(answer_cache_.Snapshot(), out);
+  out.flush();
+  return static_cast<bool>(out);
+}
 
-  // Everything parsed: commit. The staged AS-SIMPLE state replays into the
-  // real inner engine through its own saver/loader (same fingerprint by
-  // construction, so this round trip cannot fail); committing it first
-  // keeps the engine consistent even if it somehow did.
-  std::stringstream simple_bytes;
-  if (!SaveDefenseState(staged, simple_bytes) ||
-      !LoadDefenseState(engine.simple_, simple_bytes)) {
+// Quiesced by contract (see state_io.h).
+bool DefendedEngine::LoadState(std::istream& in)
+    ASUP_NO_THREAD_SAFETY_ANALYSIS {
+  const int version = ReadVersion(in, 'S');
+  if (version == 0) return false;
+  uint64_t corpus_size = 0;
+  double gamma = 0.0;
+  uint64_t key = 0;
+  if (!GetU64(in, corpus_size) || !GetDouble(in, gamma) || !GetU64(in, key)) {
     return false;
   }
-  engine.history_ = std::move(history);
-  engine.history_queries_.store(engine.history_.NumQueries(),
-                                std::memory_order_release);
-  engine.history_docs_seen_.store(engine.history_.NumDocumentsSeen(),
-                                  std::memory_order_release);
-  engine.answer_cache_.Clear();
+  if (corpus_size != segment_.corpus_size() || gamma != config_.gamma ||
+      key != config_.secret_key) {
+    return false;
+  }
+  const CorpusSnapshot& snapshot = *snapshot_;
+  if (version >= 2) {  // v1 snapshots carry no content fingerprint
+    uint64_t content = 0;
+    if (!GetU64(in, content) || content != snapshot.Fingerprint()) {
+      return false;
+    }
+  }
+
+  // Each section commits as it parses; a corrupt later section rolls the
+  // earlier ones back from this copy, so a failed load leaves the engine
+  // unchanged.
+  std::stringstream backup;
+  for (const DefenseState* state : states_) state->Save(snapshot, backup);
+  bool parsed = true;
+  for (DefenseState* state : states_) {
+    parsed = state->Load(snapshot, in);
+    if (!parsed) break;
+  }
+  CacheEntries cache;
+  if (parsed) parsed = GetCache(in, cache);
+  if (!parsed) {
+    for (DefenseState* state : states_) {
+      [[maybe_unused]] const bool restored = state->Load(snapshot, backup);
+      ASUP_CHECK(restored);
+    }
+    return false;
+  }
+  answer_cache_.Clear();
   for (auto& [canonical, result] : cache) {
-    engine.answer_cache_.Insert(canonical, std::move(result));
+    answer_cache_.Insert(canonical, std::move(result));
   }
   return true;
+}
+
+bool SaveDefenseState(const AsSimpleEngine& engine, std::ostream& out) {
+  return engine.SaveState(out);
+}
+
+bool LoadDefenseState(AsSimpleEngine& engine, std::istream& in) {
+  return engine.LoadState(in);
+}
+
+bool SaveDefenseState(const AsArbiEngine& engine, std::ostream& out) {
+  out.write(kArbiMagicV2, 4);
+  return engine.SaveState(out);
+}
+
+bool LoadDefenseState(AsArbiEngine& engine, std::istream& in) {
+  return ReadVersion(in, 'A') != 0 && engine.LoadState(in);
 }
 
 }  // namespace asup

@@ -5,7 +5,6 @@
 
 #include "asup/suppress/as_arbi.h"
 #include "asup/suppress/as_simple.h"
-#include "asup/util/annotated_mutex.h"
 
 namespace asup {
 
@@ -32,10 +31,18 @@ namespace asup {
 /// quiesced, with the engine's state epoch equal to the corpus the bytes
 /// describe.
 ///
-/// Because the quiesced contract replaces locking, these friends read the
-/// engines' guarded state without their mutexes and are opted out of the
-/// capability analysis (the attribute lives on the definitions in
-/// state_io.cc).
+/// Layout: an AS-SIMPLE snapshot is the magic, the fingerprint, the Θ_R
+/// section and the answer cache. An AS-ARBI snapshot is its own magic
+/// followed by the same layout with the history section after Θ_R (the
+/// history section opens with the empty answer cache of the nested
+/// AS-SIMPLE snapshot format v2 defined). Each section belongs to one
+/// DefenseState object (suppress/defense_state.h); the DefendedEngine host
+/// writes the header and the cache around them.
+///
+/// Because the quiesced contract replaces locking, the host's reader and
+/// writer access its guarded state without the epoch lock and are opted
+/// out of the capability analysis (the attribute lives on the definitions
+/// in state_io.cc).
 
 /// Serializes the engine's Θ_R and answer cache. Returns false on I/O
 /// failure. Caller must be quiesced.

@@ -15,9 +15,9 @@
 
 #include "asup/engine/parallel_service.h"
 #include "asup/engine/search_engine.h"
-#include "asup/engine/synchronized_service.h"
 #include "asup/index/corpus_manager.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/text/corpus_delta.h"
 #include "asup/text/synthetic_corpus.h"
@@ -94,8 +94,8 @@ TEST(ConcurrencyStressTest, DefendedSerialVsDeterministicParallelEquivalence) {
   }
   EXPECT_EQ(batch_engine.history().NumQueries(),
             serial_engine.history().NumQueries());
-  EXPECT_EQ(batch_engine.simple_engine().NumActivatedDocs(),
-            serial_engine.simple_engine().NumActivatedDocs());
+  EXPECT_EQ(batch_engine.NumActivatedDocs(),
+            serial_engine.NumActivatedDocs());
   EXPECT_EQ(batch_engine.stats().virtual_answers,
             serial_engine.stats().virtual_answers);
 }
@@ -177,23 +177,23 @@ TEST(ConcurrencyStressTest, InvariantsHoldUnderFreeRunningThreads) {
   }
 }
 
-TEST(ConcurrencyStressTest, ConcurrentBatchesThroughParallelService) {
-  // Whole batches issued from several client threads at once, against one
-  // shared defended engine wrapped in ParallelSearchService.
+TEST(ConcurrencyStressTest, ConcurrentBatchesFromSeveralClients) {
+  // Whole free-running batches issued from several client threads at once,
+  // against one shared defended engine.
   Rig rig = MakeRig(600, 5);
   AsArbiEngine defended(*rig.engine, AsArbiConfig{});
   ThreadPool pool(4);
-  ParallelSearchService service(defended, pool);
+  const BatchExecutor executor(pool);
   const auto log = AolLog(rig, 120);
 
   std::vector<std::thread> clients;
   std::atomic<int> violations{0};
   for (int c = 0; c < 4; ++c) {
     clients.emplace_back([&] {
-      const auto results = service.SearchBatch(log);
+      const auto results = executor.ExecuteConcurrent(defended, log);
       if (results.size() != log.size()) violations.fetch_add(1);
       for (const auto& result : results) {
-        if (result.docs.size() > service.k()) violations.fetch_add(1);
+        if (result.docs.size() > defended.k()) violations.fetch_add(1);
       }
     });
   }
@@ -282,28 +282,52 @@ TEST(ConcurrencyStressTest, AnswerCacheSurvivesEpochMigrationStorm) {
   }
 }
 
-TEST(ConcurrencyStressTest, SynchronizedWrapperStillSerializesEverything) {
-  // The coarse wrapper remains the fallback for services without internal
-  // synchronization; hammer it to keep it honest.
-  Rig rig = MakeRig(500, 5);
-  AsSimpleEngine defended(*rig.engine, AsSimpleConfig{});
-  SynchronizedService synced(defended);
-
-  std::vector<std::thread> threads;
-  std::atomic<int> violations{0};
-  const auto log = AolLog(rig, 40);
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < 30; ++round) {
-        const auto& query = log[(t * 7 + round) % log.size()];
-        if (synced.Search(query).docs.size() > synced.k()) {
-          violations.fetch_add(1);
-        }
-      }
-    });
+TEST(ConcurrencyStressTest, DeclineSameQuerySameAnswerUnderFreeRunningThreads) {
+  // AS-DECLINE under free-running threads: correlated queries race the
+  // history (cover searches against recordings), duplicates race the
+  // answer cache. Whatever the interleaving, each query has one answer,
+  // a refusal is empty, and no answer exceeds k.
+  Rig rig = MakeTopicalRig(1050, 50);
+  AsDeclineEngine defended(*rig.engine, AsDeclineConfig{});
+  std::vector<KeywordQuery> log;
+  for (const char* w : {"game", "team", "score", "league", "coach",
+                        "season", "player", "match", "win"}) {
+    log.push_back(rig.Q(std::string("sports ") + w));
   }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(violations.load(), 0);
+  log.push_back(rig.Q("sports"));
+
+  constexpr size_t kIssues = 400;
+  std::vector<KeywordQuery> issues;
+  for (size_t i = 0; i < kIssues; ++i) {
+    issues.push_back(log[(i * 7 + i / log.size()) % log.size()]);
+  }
+  ThreadPool pool(8);
+  const auto results = BatchExecutor(pool).ExecuteConcurrent(defended, issues);
+  ASSERT_EQ(results.size(), issues.size());
+
+  std::map<std::string, std::vector<DocId>> seen;
+  for (size_t i = 0; i < issues.size(); ++i) {
+    const SearchResult& result = results[i];
+    EXPECT_LE(result.docs.size(), defended.k());
+    if (result.status == QueryStatus::kDeclined) {
+      EXPECT_TRUE(result.docs.empty());
+    }
+    auto [it, inserted] =
+        seen.try_emplace(issues[i].canonical(), result.DocIds());
+    if (!inserted) {
+      EXPECT_EQ(it->second, result.DocIds())
+          << "query '" << issues[i].canonical() << "'";
+    }
+  }
+  // Every distinct query was either refused or answered and recorded
+  // (empty answers are not recorded), exactly once.
+  const AsDeclineStats stats = defended.stats();
+  EXPECT_EQ(stats.declined + stats.simple_answers, log.size());
+  EXPECT_LE(defended.history().NumQueries(), stats.simple_answers);
+  EXPECT_EQ(stats.cache_hits, kIssues - log.size());
+  for (const auto& query : log) {
+    EXPECT_EQ(defended.Search(query).DocIds(), seen[query.canonical()]);
+  }
 }
 
 }  // namespace

@@ -1,16 +1,13 @@
-// Tests for the SearchService decorators: QueryCountingService,
-// TimingService and SynchronizedService — including concurrent callers,
-// since the counting/timing decorators now sit in front of thread-safe
-// engines inside the parallel batch subsystem.
+// Tests for the SearchService decorators: QueryCountingService and
+// TimingService — including concurrent callers, since the decorators sit in
+// front of thread-safe engines inside the parallel batch subsystem.
 
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "asup/engine/parallel_service.h"
 #include "asup/engine/search_service.h"
-#include "asup/engine/synchronized_service.h"
 #include "asup/util/thread_pool.h"
 #include "test_util.h"
 
@@ -19,31 +16,6 @@ namespace {
 
 using testing_util::MakeRig;
 using testing_util::Rig;
-
-/// Minimal inner service with canned behavior and *unsynchronized* mutable
-/// state — a stand-in for the deliberately single-threaded services that
-/// SynchronizedService exists to protect.
-class FakeService : public SearchService {
- public:
-  explicit FakeService(size_t k = 5) : k_(k) {}
-
-  SearchResult Search(const KeywordQuery& query) override {
-    // Non-atomic read-modify-write: a data race unless the caller
-    // serializes. ThreadSanitizer flags any unprotected concurrent use.
-    ++calls_;
-    SearchResult result;
-    result.status = QueryStatus::kValid;
-    result.docs.push_back({static_cast<DocId>(query.terms().size()), 1.0});
-    return result;
-  }
-
-  size_t k() const override { return k_; }
-  uint64_t calls() const { return calls_; }
-
- private:
-  size_t k_;
-  uint64_t calls_ = 0;
-};
 
 TEST(QueryCountingServiceTest, CountsAndDelegates) {
   Rig rig = MakeRig(300, 5);
@@ -67,24 +39,20 @@ TEST(QueryCountingServiceTest, CountsAndDelegates) {
 }
 
 TEST(QueryCountingServiceTest, ConcurrentCallersLoseNoIncrements) {
-  FakeService fake;
-  SynchronizedService synced(fake);
-  QueryCountingService counting(synced);
+  // The decorator over the thread-safe plain engine, driven by
+  // BatchExecutor's free-running mode: no increment and no answer is lost.
   Rig rig = MakeRig(200, 5);
-  const auto query = rig.Q("sports");
+  QueryCountingService counting(*rig.engine);
+  const std::vector<KeywordQuery> batch(2000, rig.Q("sports"));
+  const SearchResult expected = rig.engine->Search(batch.front());
 
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) counting.Search(query);
-    });
+  ThreadPool pool(8);
+  const auto results = BatchExecutor(pool).ExecuteConcurrent(counting, batch);
+  EXPECT_EQ(counting.queries_issued(), batch.size());
+  ASSERT_EQ(results.size(), batch.size());
+  for (const SearchResult& result : results) {
+    EXPECT_EQ(result.DocIds(), expected.DocIds());
   }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(counting.queries_issued(),
-            static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(fake.calls(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(TimingServiceTest, AccumulatesTimeAndQueries) {
@@ -126,43 +94,10 @@ TEST(TimingServiceTest, ConcurrentCallersAggregateWork) {
   EXPECT_GT(timing.MeanNanos(), 0.0);
 }
 
-TEST(SynchronizedServiceTest, DelegatesTransparently) {
-  Rig rig = MakeRig(300, 5);
-  SynchronizedService synced(*rig.engine);
-  EXPECT_EQ(synced.k(), rig.engine->k());
-  const auto query = rig.Q("sports game");
-  const SearchResult direct = rig.engine->Search(query);
-  const SearchResult wrapped = synced.Search(query);
-  EXPECT_EQ(wrapped.status, direct.status);
-  EXPECT_EQ(wrapped.DocIds(), direct.DocIds());
-}
-
-TEST(SynchronizedServiceTest, SerializesRacyInnerService) {
-  // FakeService's counter is a plain uint64_t; only the wrapper's mutex
-  // makes the concurrent hammering below well-defined. Run under
-  // -DASUP_SANITIZE=thread to have TSan certify the serialization.
-  FakeService fake;
-  SynchronizedService synced(fake);
-  Rig rig = MakeRig(200, 5);
-  const auto query = rig.Q("sports");
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) synced.Search(query);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(fake.calls(), static_cast<uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(DecoratorStackTest, CountingOverTimingOverSynchronized) {
+TEST(DecoratorStackTest, CountingOverTiming) {
   // The stack used by the overhead experiments, exercised end to end.
   Rig rig = MakeRig(300, 5);
-  SynchronizedService synced(*rig.engine);
-  TimingService timing(synced);
+  TimingService timing(*rig.engine);
   QueryCountingService counting(timing);
 
   for (int i = 0; i < 10; ++i) counting.Search(rig.Q("sports game"));

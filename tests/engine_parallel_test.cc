@@ -138,23 +138,18 @@ TEST(BatchExecutorTest, DeterministicModeReusesWarmCache) {
   }
 }
 
-TEST(ParallelSearchServiceTest, BatchPreservesInputOrder) {
+TEST(BatchExecutorTest, ConcurrentBatchPreservesInputOrder) {
   Rig rig = MakeRig(400, 5);
   ThreadPool pool(4);
-  ParallelSearchService service(*rig.engine, pool);
-  EXPECT_EQ(service.k(), rig.engine->k());
-
   const auto log = MakeWorkload(rig, 2);
-  const auto results = service.SearchBatch(log);
+  const auto results = BatchExecutor(pool).ExecuteConcurrent(*rig.engine, log);
   ASSERT_EQ(results.size(), log.size());
   for (size_t i = 0; i < log.size(); ++i) {
     ExpectBitwiseEqual(results[i], rig.engine->Search(log[i]), i);
   }
-  // Single-query path delegates.
-  ExpectBitwiseEqual(service.Search(log[0]), rig.engine->Search(log[0]), 0);
 }
 
-TEST(ParallelSearchServiceTest, PrefetchIsStateIndependent) {
+TEST(BatchExecutorTest, PrefetchIsStateIndependent) {
   // The deterministic-mode contract: PrefetchMatches must not observe
   // suppression state. Warm the engine heavily, then compare against a
   // fresh engine's prefetch of the same query.

@@ -17,6 +17,7 @@
 #include "asup/engine/sharded_service.h"
 #include "asup/index/corpus_manager.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/suppress/state_io.h"
 #include "asup/text/corpus_delta.h"
@@ -300,6 +301,62 @@ TEST(EpochEquivalenceTest, AsArbiIdenticalAcrossConfigsAndVsFresh) {
     ExpectSameAnswers(reference.first, outcome.first);
     EXPECT_EQ(reference.second, outcome.second);
   }
+}
+
+TEST(EpochEquivalenceTest, AsDeclineSerialEqualsDeterministicParallel) {
+  // AS-DECLINE on the shared host: the decline trigger, the history and
+  // the AS-SIMPLE stages replay bitwise under deterministic-parallel
+  // batches, across every publish of the schedule.
+  struct Outcome {
+    std::vector<SearchResult> answers;
+    std::vector<std::vector<DocId>> history;
+    AsDeclineStats stats;
+  };
+  const auto run = [](bool deterministic) {
+    SyntheticCorpusGenerator generator(GenConfig());
+    CorpusManager manager(generator.Generate(kInitialDocs));
+    PlainSearchEngine base(manager, kK);
+    AsDeclineEngine defended(base, AsDeclineConfig{});
+    ThreadPool pool(4);
+    BatchExecutor executor(pool);
+    const Vocabulary& vocabulary = manager.Current()->corpus().vocabulary();
+    std::vector<KeywordQuery> queries;
+    for (const std::string& text : QueryTexts()) {
+      queries.push_back(KeywordQuery::Parse(vocabulary, text));
+    }
+    Outcome outcome;
+    const auto run_batch = [&] {
+      if (deterministic) {
+        auto results = executor.ExecuteDeterministic(defended, queries);
+        outcome.answers.insert(outcome.answers.end(), results.begin(),
+                               results.end());
+      } else {
+        for (const KeywordQuery& query : queries) {
+          outcome.answers.push_back(defended.Search(query));
+        }
+      }
+    };
+    run_batch();
+    for (const DeltaShape& shape : Schedule()) {
+      manager.Apply(
+          MakeDelta(generator, manager.Current()->corpus(), shape));
+      run_batch();
+    }
+    EXPECT_EQ(defended.StateEpoch(), manager.CurrentEpoch());
+    for (size_t i = 0; i < defended.history().NumQueries(); ++i) {
+      outcome.history.push_back(defended.history().QueryAt(i).answer);
+    }
+    outcome.stats = defended.stats();
+    return outcome;
+  };
+
+  const Outcome serial = run(false);
+  const Outcome parallel = run(true);
+  ExpectSameAnswers(serial.answers, parallel.answers);
+  EXPECT_EQ(serial.history, parallel.history);
+  EXPECT_EQ(serial.stats.declined, parallel.stats.declined);
+  EXPECT_EQ(serial.stats.simple_answers, parallel.stats.simple_answers);
+  EXPECT_EQ(serial.stats.cache_hits, parallel.stats.cache_hits);
 }
 
 }  // namespace

@@ -13,9 +13,6 @@
 //  3. The segment probe the recording stage emits must equal the
 //     segment_index() of an equally-sized corpus — exactly at powers of γ,
 //     where the replaced log-ratio arithmetic truncated one segment low.
-//
-// Plus the new capabilities the chain makes cheap: a pluggable ranker
-// (RescoreProcessor) and an aggregation stage (FacetCountProcessor).
 
 #include <algorithm>
 #include <cmath>
@@ -29,8 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "asup/engine/parallel_service.h"
-#include "asup/engine/pipeline/result_processor.h"
-#include "asup/engine/scoring.h"
 #include "asup/engine/search_engine.h"
 #include "asup/engine/sharded_service.h"
 #include "asup/index/inverted_index.h"
@@ -493,125 +488,6 @@ TEST(SegmentProbeEventTest, ProbeEqualsSegmentIndexAtExactGammaPowers) {
 }
 
 #endif  // ASUP_METRICS_ENABLED
-
-// ---------------------------------------------------------------------------
-// New chain capabilities: pluggable ranker + aggregation stage.
-
-TEST(PipelineStagesTest, RescoreProcessorRanksWithAlternateScorer) {
-  Rig rig = MakeRig(400, 10);
-  ProcessorChain chain;
-  chain.Add(std::make_unique<MatchProcessor>())
-      .Add(std::make_unique<InterfaceStatusProcessor>())
-      .Add(std::make_unique<RescoreProcessor>(std::make_unique<TfIdfScorer>()));
-
-  const KeywordQuery q = rig.Q("sports game");
-  const SnapshotHandle snapshot = rig.engine->PinSnapshot();
-
-  QueryContext context;
-  context.query = &q;
-  context.base = rig.engine.get();
-  context.snapshot = snapshot.get();
-  context.k = rig.engine->k();
-  context.match_limit = rig.engine->k();
-  chain.Run(context);
-  ASSERT_FALSE(context.result.docs.empty());
-
-  // Same documents as the default BM25 interface answer...
-  const SearchResult bm25 = rig.engine->Search(q);
-  std::set<DocId> chain_docs, bm25_docs;
-  for (const ScoredDoc& d : context.result.docs) chain_docs.insert(d.doc);
-  for (const ScoredDoc& d : bm25.docs) bm25_docs.insert(d.doc);
-  EXPECT_EQ(chain_docs, bm25_docs);
-
-  // ...re-ranked into the engine's strict total order under TF-IDF.
-  for (size_t i = 1; i < context.result.docs.size(); ++i) {
-    EXPECT_TRUE(
-        RankBefore(context.result.docs[i - 1], context.result.docs[i]))
-        << "rank " << i;
-  }
-
-  // Deterministic: a second run reproduces every score bit.
-  QueryContext again;
-  again.query = &q;
-  again.base = rig.engine.get();
-  again.snapshot = snapshot.get();
-  again.k = rig.engine->k();
-  again.match_limit = rig.engine->k();
-  chain.Run(again);
-  ASSERT_EQ(again.result.docs.size(), context.result.docs.size());
-  for (size_t i = 0; i < again.result.docs.size(); ++i) {
-    EXPECT_EQ(again.result.docs[i].doc, context.result.docs[i].doc);
-    EXPECT_EQ(again.result.docs[i].score, context.result.docs[i].score);
-  }
-}
-
-TEST(PipelineStagesTest, FacetCountProcessorHistogramsTheAnswer) {
-  Rig rig = MakeRig(400, 10);
-  constexpr uint64_t kBucket = 16;
-  ProcessorChain chain;
-  chain.Add(std::make_unique<MatchProcessor>())
-      .Add(std::make_unique<InterfaceStatusProcessor>())
-      .Add(std::make_unique<FacetCountProcessor>(kBucket));
-
-  const KeywordQuery q = rig.Q("sports");
-  const SnapshotHandle snapshot = rig.engine->PinSnapshot();
-  QueryContext context;
-  context.query = &q;
-  context.base = rig.engine.get();
-  context.snapshot = snapshot.get();
-  context.k = rig.engine->k();
-  context.match_limit = rig.engine->k();
-  chain.Run(context);
-  ASSERT_FALSE(context.result.docs.empty());
-  ASSERT_FALSE(context.facet_buckets.empty());
-
-  // Buckets ascend, counts tally the answer exactly, and each bucket
-  // matches a manual recount over the corpus.
-  size_t total = 0;
-  std::map<uint64_t, size_t> manual;
-  for (const ScoredDoc& entry : context.result.docs) {
-    const uint64_t length = rig.corpus->Get(entry.doc).length();
-    ++manual[(length / kBucket) * kBucket];
-  }
-  for (size_t i = 0; i < context.facet_buckets.size(); ++i) {
-    const auto& [bucket, count] = context.facet_buckets[i];
-    EXPECT_EQ(bucket % kBucket, 0u);
-    if (i > 0) {
-      EXPECT_GT(bucket, context.facet_buckets[i - 1].first);
-    }
-    EXPECT_EQ(count, manual[bucket]) << "bucket " << bucket;
-    total += count;
-  }
-  EXPECT_EQ(total, context.result.docs.size());
-  EXPECT_EQ(manual.size(), context.facet_buckets.size());
-}
-
-TEST(PipelineStagesTest, FacetProcessorComposesAfterDefendedChain) {
-  // The aggregation stage reads only the context, so it composes after a
-  // *defended* answer exactly as after a plain one — histogram the
-  // AS-SIMPLE answer without touching the engine.
-  Rig rig = MakeRig(400, 5);
-  AsSimpleConfig config;
-  AsSimpleEngine defended(*rig.engine, config);
-  const KeywordQuery q = rig.Q("sports");
-  const SearchResult answer = defended.Search(q);
-  ASSERT_FALSE(answer.docs.empty());
-
-  const SnapshotHandle snapshot = rig.engine->PinSnapshot();
-  QueryContext context;
-  context.query = &q;
-  context.base = rig.engine.get();
-  context.snapshot = snapshot.get();
-  context.k = rig.engine->k();
-  context.result = answer;
-  context.finished = true;  // only RunsWhenFinished stages may act
-  ProcessorChain chain;
-  chain.Add(std::make_unique<FacetCountProcessor>(8));
-  chain.Run(context);
-  size_t total = 0;
-  for (const auto& [bucket, count] : context.facet_buckets) total += count;
-  EXPECT_EQ(total, answer.docs.size());
-}
 
 }  // namespace
 }  // namespace asup

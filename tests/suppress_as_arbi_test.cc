@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <set>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -13,6 +12,7 @@
 namespace asup {
 namespace {
 
+using testing_util::CountingEngine;
 using testing_util::MakeRig;
 using testing_util::MakeTopicalRig;
 using testing_util::Rig;
@@ -139,59 +139,6 @@ TEST(AsArbiTest, AnswersAreSubsetsOfMatches) {
     }
   }
 }
-
-// Counts the calls a defense makes into the engine layer — the four
-// MatchingEngine virtuals — and forwards each to `base`. With `throw_next_top`
-// set, the next TopMatchesNodeIn throws instead.
-class CountingEngine final : public MatchingEngine {
- public:
-  struct Calls {
-    size_t top = 0;
-    size_t count = 0;
-    size_t ids = 0;
-    size_t rank = 0;
-  };
-
-  explicit CountingEngine(const MatchingEngine& base) : base_(&base) {}
-
-  size_t k() const override { return base_->k(); }
-  SnapshotHandle PinSnapshot() const override { return base_->PinSnapshot(); }
-
-  RankedMatches TopMatchesNodeIn(const CorpusSnapshot& snapshot,
-                                 const QueryNode& node,
-                                 std::span<const TermId> score_terms,
-                                 size_t limit) const override {
-    ++calls.top;
-    if (throw_next_top) {
-      throw_next_top = false;
-      throw std::runtime_error("posting walk failed");
-    }
-    return base_->TopMatchesNodeIn(snapshot, node, score_terms, limit);
-  }
-  size_t MatchCountNodeIn(const CorpusSnapshot& snapshot,
-                          const QueryNode& node) const override {
-    ++calls.count;
-    return base_->MatchCountNodeIn(snapshot, node);
-  }
-  std::vector<DocId> MatchIdsNodeIn(const CorpusSnapshot& snapshot,
-                                    const QueryNode& node) const override {
-    ++calls.ids;
-    return base_->MatchIdsNodeIn(snapshot, node);
-  }
-  std::vector<ScoredDoc> RankDocsIn(const CorpusSnapshot& snapshot,
-                                    const KeywordQuery& query,
-                                    std::span<const DocId> docs)
-      const override {
-    ++calls.rank;
-    return base_->RankDocsIn(snapshot, query, docs);
-  }
-
-  mutable Calls calls;
-  mutable bool throw_next_top = false;
-
- private:
-  const MatchingEngine* base_;
-};
 
 // A live miss walks the postings once: M(q) = top-γk carries |Sel(q)| for
 // the trigger and feeds the fall-through. Match ids cost one more walk,

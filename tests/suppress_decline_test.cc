@@ -1,16 +1,18 @@
 #include "asup/suppress/as_decline.h"
 
-#include "asup/suppress/as_arbi.h"
-
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "asup/suppress/as_arbi.h"
 #include "test_util.h"
 
 namespace asup {
 namespace {
 
+using testing_util::CountingEngine;
 using testing_util::MakeRig;
 using testing_util::MakeTopicalRig;
 using testing_util::Rig;
@@ -100,6 +102,49 @@ TEST(AsDeclineTest, BroadQueriesNeverDeclined) {
   for (const char* w : {"sports", "game", "team"}) {
     EXPECT_NE(defended.Search(rig.Q(w)).status, QueryStatus::kDeclined);
   }
+}
+
+// A live miss walks the postings once, as under AS-ARBI: M(q) = top-γk
+// carries |Sel(q)| for the trigger and feeds the AS-SIMPLE stages; match
+// ids cost one more walk only when the trigger is plausible and the
+// history could cover the query. A decline never ranks, and a cache hit
+// reaches no engine entry point at all.
+TEST(AsDeclineTest, LiveMissWalksThePostingsOnce) {
+  Rig rig = MakeTopicalRig(1050, 50);
+  CountingEngine counting(*rig.engine);
+  const AsDeclineConfig config;
+  AsDeclineEngine defended(counting, config);
+  size_t id_walks = 0;
+  for (const auto& q : CorrelatedFamily(rig, 9)) {
+    SCOPED_TRACE(q.canonical());
+    const size_t sel = rig.engine->MatchCount(q);
+    const bool plausible =
+        config.cover_ratio * static_cast<double>(sel) <=
+        static_cast<double>(config.cover_size * rig.engine->k());
+    const auto need = static_cast<size_t>(
+        std::ceil(config.cover_ratio * static_cast<double>(sel)));
+    const bool coverable = defended.history().NumQueries() > 0 &&
+                           defended.history().NumDocumentsSeen() >= need;
+
+    counting.calls = {};
+    const SearchResult first = defended.Search(q);
+    EXPECT_EQ(counting.calls.top, 1u);
+    EXPECT_EQ(counting.calls.count, 0u);
+    EXPECT_EQ(counting.calls.ids, sel > 0 && plausible && coverable ? 1u : 0u);
+    EXPECT_EQ(counting.calls.rank, 0u);
+    id_walks += counting.calls.ids;
+
+    counting.calls = {};
+    const SearchResult again = defended.Search(q);
+    EXPECT_EQ(counting.calls.top + counting.calls.count +
+                  counting.calls.ids + counting.calls.rank,
+              0u);
+    EXPECT_EQ(again.status, first.status);
+    EXPECT_EQ(again.DocIds(), first.DocIds());
+  }
+  // The family is built to reach the cover search.
+  EXPECT_GT(id_walks, 0u);
+  EXPECT_GT(defended.stats().declined, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "asup/util/hash.h"
 #include "test_util.h"
 
 namespace asup {
@@ -52,6 +53,33 @@ TEST(StateIoTest, SimpleRoundTripRestoresAnswers) {
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_TRUE(SameAnswers(restarted.Search(queries[i]), answers[i])) << i;
   }
+}
+
+// The persisted bytes are part of the state_io contract: a refactor of the
+// engines must not move a single byte. The expected sizes and hashes were
+// recorded from the engines as they were before they shared one
+// DefendedEngine host, on these fixed rigs and logs.
+TEST(StateIoTest, SnapshotBytesArePinned) {
+  Rig simple_rig = MakeRig(520, 5);
+  AsSimpleEngine simple(*simple_rig.engine, AsSimpleConfig{});
+  for (const auto& q : WarmupQueries(simple_rig)) simple.Search(q);
+  std::stringstream simple_bytes;
+  ASSERT_TRUE(SaveDefenseState(simple, simple_bytes));
+  EXPECT_EQ(simple_bytes.str().size(), 1212u);
+  EXPECT_EQ(HashString(simple_bytes.str()), 18059363127148251573ull);
+
+  Rig arbi_rig = MakeTopicalRig(1050, 50);
+  AsArbiEngine arbi(*arbi_rig.engine, AsArbiConfig{});
+  for (const char* w : {"sports game", "sports team", "sports score",
+                        "sports league", "sports coach", "sports season",
+                        "sports player", "sports match", "sports"}) {
+    arbi.Search(arbi_rig.Q(w));
+  }
+  ASSERT_GT(arbi.stats().virtual_answers, 0u);
+  std::stringstream arbi_bytes;
+  ASSERT_TRUE(SaveDefenseState(arbi, arbi_bytes));
+  EXPECT_EQ(arbi_bytes.str().size(), 6826u);
+  EXPECT_EQ(HashString(arbi_bytes.str()), 13970912793548397232ull);
 }
 
 TEST(StateIoTest, SimpleLoadsLegacyV1Snapshot) {
@@ -217,7 +245,7 @@ TEST(StateIoTest, SimpleFailedLoadLeavesWarmEngineUnchanged) {
 TEST(StateIoTest, ArbiTailCorruptionLeavesEngineFullyUnchanged) {
   // The AS-ARBI snapshot nests the AS-SIMPLE section first; a snapshot
   // whose *history/cache tail* is corrupt must not half-commit the inner
-  // AS-SIMPLE state (the loader stages it before committing anything).
+  // AS-SIMPLE state (the loader rolls it back).
   Rig rig = MakeTopicalRig(520, 50);
   AsArbiEngine original(*rig.engine, AsArbiConfig{});
   original.Search(rig.Q("sports game"));
@@ -225,7 +253,7 @@ TEST(StateIoTest, ArbiTailCorruptionLeavesEngineFullyUnchanged) {
   std::stringstream snapshot;
   ASSERT_TRUE(SaveDefenseState(original, snapshot));
   const std::string bytes = snapshot.str();
-  ASSERT_GT(original.simple_engine().NumActivatedDocs(), 0u);
+  ASSERT_GT(original.NumActivatedDocs(), 0u);
 
   // Dropping the final byte corrupts the trailing cache section only; the
   // nested AS-SIMPLE section still parses cleanly.
@@ -233,7 +261,7 @@ TEST(StateIoTest, ArbiTailCorruptionLeavesEngineFullyUnchanged) {
   AsArbiEngine restarted(*rig.engine, AsArbiConfig{});
   EXPECT_FALSE(LoadDefenseState(restarted, tail_corrupt));
   EXPECT_EQ(restarted.history().NumQueries(), 0u);
-  EXPECT_EQ(restarted.simple_engine().NumActivatedDocs(), 0u);
+  EXPECT_EQ(restarted.NumActivatedDocs(), 0u);
 }
 
 TEST(StateIoTest, SimpleRejectsUnknownDocumentId) {
