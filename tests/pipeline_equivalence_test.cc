@@ -28,18 +28,22 @@
 #include "asup/engine/parallel_service.h"
 #include "asup/engine/search_engine.h"
 #include "asup/engine/sharded_service.h"
+#include "asup/index/corpus_manager.h"
 #include "asup/index/inverted_index.h"
 #include "asup/index/sharded_index.h"
 #include "asup/obs/event_log.h"
 #include "asup/obs/metrics.h"
 #include "asup/suppress/as_arbi.h"
+#include "asup/suppress/as_decline.h"
 #include "asup/suppress/as_simple.h"
 #include "asup/suppress/cover_finder.h"
 #include "asup/suppress/history_store.h"
 #include "asup/suppress/segment.h"
 #include "asup/suppress/state_io.h"
 #include "asup/text/corpus.h"
+#include "asup/text/corpus_delta.h"
 #include "asup/text/document.h"
+#include "asup/text/synthetic_corpus.h"
 #include "asup/text/vocabulary.h"
 #include "asup/util/hash.h"
 #include "asup/util/thread_pool.h"
@@ -488,6 +492,155 @@ TEST(SegmentProbeEventTest, ProbeEqualsSegmentIndexAtExactGammaPowers) {
 }
 
 #endif  // ASUP_METRICS_ENABLED
+
+// ---------------------------------------------------------------------------
+// The defense event stream, pinned. The watchtower and the fig21 gate read
+// per-query events in emit order, so the kinds, their order within a query
+// and their payloads are behaviour: one log with repeats (cache hits),
+// correlated families (covers, virtual answers, declines) and one publish
+// (a migration), replayed through each defense, must emit exactly the
+// stream recorded here.
+
+#if ASUP_METRICS_ENABLED
+
+struct PinnedStream {
+  size_t events = 0;
+  uint64_t hash = 0;
+  std::set<int> kinds;  // obs::EventKind values seen
+
+  bool Saw(int kind) const { return kinds.count(kind) != 0; }
+};
+
+/// Runs `log` through `defense`, publishing `delta` to `manager` after
+/// `publish_at` queries, and returns the count and hash of the events the
+/// defense emitted, in sequence order (sequence numbers excluded).
+template <typename Defense>
+PinnedStream EventStreamOf(Defense& defense, CorpusManager& manager,
+                           const std::vector<KeywordQuery>& log,
+                           size_t publish_at, const CorpusDelta& delta) {
+  obs::EventLog events(size_t{1} << 18);
+  obs::InstallEventLog(&events);
+  for (size_t i = 0; i < log.size(); ++i) {
+    if (i == publish_at) manager.Apply(delta);
+    defense.Search(log[i]);
+  }
+  obs::InstallEventLog(nullptr);
+  EXPECT_EQ(events.dropped(), 0u);
+  PinnedStream stream;
+  std::string flat;
+  const std::vector<obs::Event> snapshot = events.Snapshot();
+  for (const obs::Event& event : snapshot) {
+    stream.kinds.insert(static_cast<int>(event.kind));
+    flat += std::to_string(static_cast<int>(event.kind)) + ',' +
+            std::to_string(event.client) + ',' +
+            std::to_string(event.query_hash) + ',' + std::to_string(event.a) +
+            ',' + std::to_string(event.b) + ';';
+  }
+  stream.events = snapshot.size();
+  stream.hash = HashString(flat);
+  // Every defense reaches these kinds on this log.
+  for (const obs::EventKind kind :
+       {obs::EventKind::kAnswerHidden, obs::EventKind::kSegmentProbe,
+        obs::EventKind::kAnswerTrimmed, obs::EventKind::kCacheHit,
+        obs::EventKind::kEpochMigration}) {
+    EXPECT_TRUE(stream.Saw(static_cast<int>(kind)))
+        << obs::EventKindName(kind);
+  }
+  return stream;
+}
+
+struct EventRig {
+  std::unique_ptr<SyntheticCorpusGenerator> generator;
+  std::unique_ptr<CorpusManager> manager;
+  std::unique_ptr<PlainSearchEngine> engine;
+  std::vector<KeywordQuery> log;
+  size_t publish_at = 0;
+  CorpusDelta delta;
+};
+
+EventRig MakeEventRig() {
+  SyntheticCorpusConfig config;
+  config.vocabulary_size = 10000;
+  config.num_topics = 96;
+  config.words_per_topic = 300;
+  config.seed = 99;
+  EventRig rig;
+  rig.generator = std::make_unique<SyntheticCorpusGenerator>(config);
+  rig.manager =
+      std::make_unique<CorpusManager>(rig.generator->Generate(1050));
+  rig.engine = std::make_unique<PlainSearchEngine>(*rig.manager, 50);
+
+  const Vocabulary& vocab = rig.manager->Current()->corpus().vocabulary();
+  std::vector<std::string> texts = {"sports", "notaword", ""};
+  for (const char* w : {"game", "team", "score", "league", "coach", "season",
+                        "player", "match", "win"}) {
+    texts.push_back(w);
+    texts.push_back(std::string("sports ") + w);
+  }
+  for (TermId t = 0; t < 400 && t < vocab.size(); t += 37) {
+    texts.push_back(vocab.WordOf(t));
+  }
+  std::vector<KeywordQuery> fresh;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    KeywordQuery q = KeywordQuery::Parse(vocab, texts[i]);
+    q.set_client_id(1 + i % 3);
+    fresh.push_back(std::move(q));
+  }
+  // Fresh queries, their repeats, a publish, then all of them again in the
+  // new epoch (misses, then hits).
+  rig.log = fresh;
+  rig.log.insert(rig.log.end(), fresh.begin(), fresh.begin() + 12);
+  rig.publish_at = rig.log.size();
+  rig.log.insert(rig.log.end(), fresh.begin(), fresh.end());
+  rig.log.insert(rig.log.end(), fresh.begin(), fresh.end());
+
+  const Corpus added = rig.generator->Generate(60);
+  rig.delta.add.assign(added.documents().begin(), added.documents().end());
+  const Corpus& current = rig.manager->Current()->corpus();
+  for (size_t pos = 0; pos < current.size(); pos += 7) {
+    rig.delta.remove.push_back(current.documents()[pos].id());
+  }
+  return rig;
+}
+
+#endif  // ASUP_METRICS_ENABLED
+
+// Values recorded on the processor-chain implementation.
+TEST(PipelineEventTest, DefenseEventsArePinned) {
+#if !ASUP_METRICS_ENABLED
+  GTEST_SKIP() << "events compile out with -DASUP_METRICS=OFF";
+#else
+  {
+    EventRig rig = MakeEventRig();
+    AsSimpleEngine simple(*rig.engine, AsSimpleConfig{});
+    const PinnedStream stream = EventStreamOf(simple, *rig.manager, rig.log,
+                                              rig.publish_at, rig.delta);
+    EXPECT_EQ(stream.events, 180u);
+    EXPECT_EQ(stream.hash, 13035221300298345488u);
+  }
+  {
+    EventRig rig = MakeEventRig();
+    AsArbiEngine arbi(*rig.engine, AsArbiConfig{});
+    const PinnedStream stream = EventStreamOf(arbi, *rig.manager, rig.log,
+                                              rig.publish_at, rig.delta);
+    EXPECT_GT(arbi.stats().virtual_answers, 0u);
+    EXPECT_TRUE(stream.Saw(static_cast<int>(obs::EventKind::kCoverFound)));
+    EXPECT_TRUE(
+        stream.Saw(static_cast<int>(obs::EventKind::kVirtualAnswer)));
+    EXPECT_EQ(stream.events, 168u);
+    EXPECT_EQ(stream.hash, 8715848254396011676u);
+  }
+  {
+    EventRig rig = MakeEventRig();
+    AsDeclineEngine decline(*rig.engine, AsDeclineConfig{});
+    const PinnedStream stream = EventStreamOf(decline, *rig.manager, rig.log,
+                                              rig.publish_at, rig.delta);
+    EXPECT_GT(decline.stats().declined, 0u);
+    EXPECT_EQ(stream.events, 124u);
+    EXPECT_EQ(stream.hash, 6769335682480982403u);
+  }
+#endif
+}
 
 }  // namespace
 }  // namespace asup
