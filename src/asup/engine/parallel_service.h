@@ -1,6 +1,7 @@
 #ifndef ASUP_ENGINE_PARALLEL_SERVICE_H_
 #define ASUP_ENGINE_PARALLEL_SERVICE_H_
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -14,19 +15,18 @@ namespace asup {
 /// that only touches the immutable inverted index. Computed in parallel by
 /// BatchExecutor's deterministic mode, then consumed by the serial commit.
 struct QueryPrefetch {
-  /// Top matches up to the engine-specific limit (k for the plain engine,
-  /// γ·k for AS-SIMPLE) plus the total match count |Sel(q)|.
+  /// M(q), the top γ·k matches of a defense, plus the total match count
+  /// |Sel(q)|.
   RankedMatches ranked;
 
   /// All matching document ids, ascending. Only filled when the engine's
-  /// commit phase can need them (AS-ARBI's cover trigger).
-  std::vector<DocId> match_ids;
-  bool has_match_ids = false;
+  /// commit phase can need them (the cover trigger of AS-ARBI and
+  /// AS-DECLINE).
+  std::optional<std::vector<DocId>> match_ids;
 
-  /// The epoch this prefetch was computed against. Null from legacy/static
-  /// producers (treated as matching whatever epoch the commit runs in); a
-  /// commit in a *different* epoch discards the prefetch and recomputes the
-  /// match phase live against its own snapshot.
+  /// The epoch this prefetch was computed against. Always set; a commit in
+  /// a *different* epoch discards the prefetch and recomputes the match
+  /// phase live against its own snapshot.
   SnapshotHandle snapshot;
 };
 

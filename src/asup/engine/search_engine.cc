@@ -1,9 +1,9 @@
 #include "asup/engine/search_engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "asup/engine/doc_iterator.h"
-#include "asup/engine/pipeline/result_processor.h"
 #include "asup/util/check.h"
 
 namespace asup {
@@ -17,14 +17,19 @@ SearchResult MatchingEngine::Search(const KeywordQuery& query) {
   // One pin for the whole query: the answer is computed against a single
   // epoch even if a publish lands mid-query.
   const SnapshotHandle snapshot = PinSnapshot();
-  QueryContext context;
-  context.query = &query;
-  context.base = this;
-  context.snapshot = snapshot.get();
-  context.k = k();
-  context.match_limit = k();
-  InterfaceProcessorChain().Run(context);
-  return std::move(context.result);
+  RankedMatches ranked = TopMatchesIn(*snapshot, query, k());
+  // The undefended interface of Section 2.1: underflow when nothing
+  // matched, overflow when |Sel(q)| > k, the ranked top-k either way.
+  SearchResult result;
+  if (ranked.total_matches == 0) {
+    result.status = QueryStatus::kUnderflow;
+  } else if (ranked.total_matches > k()) {
+    result.status = QueryStatus::kOverflow;
+  } else {
+    result.status = QueryStatus::kValid;
+  }
+  result.docs = std::move(ranked.docs);
+  return result;
 }
 
 RankedMatches MatchingEngine::TopMatchesIn(const CorpusSnapshot& snapshot,

@@ -49,9 +49,9 @@ enum class EventKind : uint8_t {
   kAnswerServed,     // a = answer size, b = 1 iff the answer overflowed
   kAnswerHidden,     // a = documents hidden from this answer (AS-SIMPLE)
   kAnswerTrimmed,    // a = documents trimmed by the LHS-degree cut
-  kSegmentProbe,     // a = index of the µ-segment the query landed in
-  kVirtualAnswer,    // a = virtual answer size (AS-ARBI cover path)
-  kCoverFound,       // a = cover size (answers used), b = exact(1)/greedy(0)
+  kSegmentProbe,     // a = µ-segment index of |Sel(q)|, b = |Sel(q)|
+  kVirtualAnswer,    // a = virtual answer size, b = historic answers used
+  kCoverFound,       // a = historic answers used, b = |Sel(q)|
   kCacheHit,         // answer served from the answer cache
   kEpochMigration,   // a = new epoch id, b = state entries dropped
   kSuspicionFlag,    // a = smoothed score in millis, b = window queries

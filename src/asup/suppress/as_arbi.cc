@@ -2,36 +2,28 @@
 
 #include <memory>
 
-#include "asup/suppress/processors.h"
-
 namespace asup {
 
 AsArbiEngine::AsArbiEngine(MatchingEngine& base, const AsArbiConfig& config)
-    : DefendedEngine(base, config.simple, config.cache_answers,
+    : DefendedEngine(base, config.simple,
                      std::make_unique<QueryHistory>(
-                         config.cover_size, config.cover_ratio, base.k())),
-      config_(config) {
-  chain_.Add(std::make_unique<MatchProcessor>())
-      .Add(std::make_unique<SelSizeNoteProcessor>())
-      .Add(std::make_unique<UnderflowGuardProcessor>())
-      .Add(std::make_unique<AsArbiCoverProcessor>(
-          history_state(), trigger_evaluations_, virtual_answers_))
-      .Add(std::make_unique<AsArbiVirtualProcessor>(
-          history_state(), returned(), simple_answers_));
-  AddSimpleStages();
-  chain_.Add(std::make_unique<HistoryRecordProcessor>(history_state()))
-      .Add(std::make_unique<DefenseRecordProcessor>());
-}
+                         config.cover_size, config.cover_ratio, base.k()),
+                     CoverAction::kAnswerVirtually),
+      config_(config) {}
 
 AsArbiStats AsArbiEngine::stats() const {
   AsArbiStats stats;
-  stats.queries_processed = queries_processed();
-  stats.cache_hits = cache_hits();
-  stats.virtual_answers = virtual_answers_.load(std::memory_order_relaxed);
-  stats.simple_answers = simple_answers_.load(std::memory_order_relaxed);
+  stats.queries_processed =
+      counters().queries_processed.load(std::memory_order_relaxed);
+  stats.cache_hits = counters().cache_hits.load(std::memory_order_relaxed);
+  stats.virtual_answers =
+      counters().virtual_answers.load(std::memory_order_relaxed);
+  stats.simple_answers =
+      counters().simple_answers.load(std::memory_order_relaxed);
   stats.trigger_evaluations =
-      trigger_evaluations_.load(std::memory_order_relaxed);
-  stats.epoch_migrations = epoch_migrations();
+      counters().trigger_evaluations.load(std::memory_order_relaxed);
+  stats.epoch_migrations =
+      counters().epoch_migrations.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -1,7 +1,6 @@
 #ifndef ASUP_SUPPRESS_AS_ARBI_H_
 #define ASUP_SUPPRESS_AS_ARBI_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "asup/engine/search_engine.h"
@@ -13,8 +12,8 @@ namespace asup {
 
 /// Configuration of AS-ARBI (paper Algorithm 2).
 struct AsArbiConfig {
-  /// Parameters of the AS-SIMPLE stages (their cache_answers is ignored:
-  /// the flag below governs the one answer cache).
+  /// Parameters of the AS-SIMPLE stages; `simple.cache_answers` governs
+  /// the one answer cache.
   AsSimpleConfig simple;
 
   /// Cover size m: maximum number of historic answers that may virtually
@@ -25,10 +24,6 @@ struct AsArbiConfig {
   /// Cover ratio σ in (0, 1]: fraction of the new query's matches that must
   /// be covered. The paper's default is 1.0 (the most conservative value).
   double cover_ratio = 1.0;
-
-  /// Cache final answers per canonical query (deterministic re-issue, also
-  /// under concurrent duplicate queries).
-  bool cache_answers = true;
 };
 
 /// Counters exposed for tests and experiments.
@@ -79,9 +74,6 @@ class AsArbiEngine : public DefendedEngine {
 
  private:
   AsArbiConfig config_;
-  std::atomic<uint64_t> virtual_answers_{0};
-  std::atomic<uint64_t> simple_answers_{0};
-  std::atomic<uint64_t> trigger_evaluations_{0};
 };
 
 }  // namespace asup

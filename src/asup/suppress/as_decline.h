@@ -1,7 +1,6 @@
 #ifndef ASUP_SUPPRESS_AS_DECLINE_H_
 #define ASUP_SUPPRESS_AS_DECLINE_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "asup/engine/search_engine.h"
@@ -13,10 +12,9 @@ namespace asup {
 
 /// Configuration of AS-DECLINE; identical knobs to AS-ARBI's trigger.
 struct AsDeclineConfig {
-  AsSimpleConfig simple;
+  AsSimpleConfig simple;  // `simple.cache_answers` governs the answer cache
   size_t cover_size = 5;
   double cover_ratio = 1.0;
-  bool cache_answers = true;
 };
 
 /// Counters exposed for tests and ablations.
@@ -49,10 +47,6 @@ class AsDeclineEngine : public DefendedEngine {
 
   /// Snapshot of the processing counters (consistent only when quiesced).
   AsDeclineStats stats() const;
-
- private:
-  std::atomic<uint64_t> declined_{0};
-  std::atomic<uint64_t> simple_answers_{0};
 };
 
 }  // namespace asup

@@ -34,9 +34,10 @@ struct AsSimpleStats {
 ///      hidden/trimmed top-k documents are thereby replaced by lower-ranked
 ///      survivors of M(q) when the query overflows.
 ///
-/// The chain is match → guard → hide → trim → emulated status → record;
+/// The host's answer path runs these steps for every miss and emits the
+/// hide/trim events and the segment probe once the answer is final;
 /// caching, epochs, migration (Θ_R remapped by DocId, μ recomputed) and
-/// thread safety come from the DefendedEngine host.
+/// thread safety come from the DefendedEngine host as well.
 class AsSimpleEngine : public DefendedEngine {
  public:
   /// Wraps `base` (borrowed; must outlive this engine). Pins the base's

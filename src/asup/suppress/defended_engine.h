@@ -9,7 +9,6 @@
 
 #include "asup/engine/answer_cache.h"
 #include "asup/engine/parallel_service.h"
-#include "asup/engine/pipeline/result_processor.h"
 #include "asup/engine/search_engine.h"
 #include "asup/suppress/defense_state.h"
 #include "asup/suppress/segment.h"
@@ -35,7 +34,8 @@ struct AsSimpleConfig {
   /// returns the identical answer (the deterministic-processing requirement
   /// of Section 2.1). Under concurrency the cache also serializes duplicate
   /// in-flight queries, so "same query ⇒ same answer" holds regardless of
-  /// interleaving. Disable only for ablation measurements.
+  /// interleaving. Governs the one answer cache of every defense built on
+  /// these parameters. Disable only for ablation measurements.
   bool cache_answers = true;
 };
 
@@ -46,11 +46,12 @@ struct AsSimpleConfig {
 ///    the snapshot, its indistinguishable segment (μ), and the epoch lock;
 ///  - the defense state objects (Θ_R always, the query history for AS-ARBI
 ///    and AS-DECLINE), migrated together when the corpus moves on;
-///  - the answer cache and its claim → chain → publish sequence, which
+///  - the answer cache and its claim → answer → publish sequence, which
 ///    abandons the claim if anything after it throws;
 ///  - the prefetch/commit split BatchExecutor's deterministic mode uses;
-///  - the ProcessorChain each defense composes in its constructor, and the
-///    queries / cache-hit / migration counters.
+///  - the answer path: Algorithm 1 for every defense, behind Algorithm 2's
+///    cover trigger for a defense with a history, its counters, and the
+///    defense events, emitted once per answered query.
 ///
 /// Thread safety: Search may be called from concurrent workers. Queries
 /// take the shared side of the epoch lock, migration the exclusive side,
@@ -107,40 +108,43 @@ class DefendedEngine : public PrefetchableService {
   bool IsActivated(DocId doc) const ASUP_EXCLUDES(epoch_mutex_);
 
  protected:
+  /// What a defense with a history does with a query its history covers.
+  enum class CoverAction {
+    kAnswerVirtually,  // AS-ARBI: answer from the covering answers
+    kDecline,          // AS-DECLINE: refuse the query (kDeclined)
+  };
+
   /// Wraps `base` (borrowed; must outlive this engine) — any
   /// MatchingEngine: the single-index PlainSearchEngine or the sharded
   /// ShardedSearchService; suppression runs post-merge on the one logical
   /// corpus the base presents. Pins the base's current epoch. `history` is
-  /// null for AS-SIMPLE. `config.cache_answers` is ignored in favour of
-  /// `cache_answers`.
+  /// null for AS-SIMPLE, which never evaluates a cover, so `on_cover`
+  /// matters only with a history.
   DefendedEngine(MatchingEngine& base, const AsSimpleConfig& config,
-                 bool cache_answers, std::unique_ptr<QueryHistory> history);
+                 std::unique_ptr<QueryHistory> history = nullptr,
+                 CoverAction on_cover = CoverAction::kAnswerVirtually);
 
-  /// Appends Algorithm 1's stages — guard → hide → trim → emulated status —
-  /// to the chain.
-  void AddSimpleStages();
+  /// Counters of the answer path; each defense's stats() reads the ones it
+  /// bumps. Relaxed, so consistent only when quiesced.
+  struct Counters {
+    std::atomic<uint64_t> queries_processed{0};
+    std::atomic<uint64_t> cache_hits{0};
+    std::atomic<uint64_t> epoch_migrations{0};
+    /// Misses a history did not cover, answered by Algorithm 1.
+    std::atomic<uint64_t> simple_answers{0};
+    /// AS-ARBI: size-plausible cover triggers, and virtual answers.
+    std::atomic<uint64_t> trigger_evaluations{0};
+    std::atomic<uint64_t> virtual_answers{0};
+    /// AS-DECLINE: covered queries refused.
+    std::atomic<uint64_t> declined{0};
+  };
+  const Counters& counters() const { return counters_; }
 
   /// The AS-SIMPLE parameters as given to the constructor.
   const AsSimpleConfig& simple_config() const { return config_; }
-  ReturnedSet& returned() { return returned_; }
   const ReturnedSet& returned() const { return returned_; }
   /// Only for AS-ARBI and AS-DECLINE, which construct the host with one.
-  QueryHistory& history_state() { return *history_; }
   const QueryHistory& history_state() const { return *history_; }
-
-  uint64_t queries_processed() const {
-    return queries_processed_.load(std::memory_order_relaxed);
-  }
-  uint64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t epoch_migrations() const {
-    return epoch_migrations_.load(std::memory_order_relaxed);
-  }
-
-  /// The defense's pipeline, composed once by the subclass constructor and
-  /// immutable afterwards; run per query under the shared epoch lock.
-  ProcessorChain chain_;
 
  private:
   // State persistence (suppress/state_io.h) writes and reads the host's
@@ -167,9 +171,73 @@ class DefendedEngine : public PrefetchableService {
                           const QueryPrefetch* prefetch)
       ASUP_EXCLUDES(epoch_mutex_);
 
-  /// Cache claim, chain and publish against the pinned epoch.
+  /// Cache claim, answer, events and publish against the pinned epoch.
   SearchResult SearchStateLocked(const KeywordQuery& query,
                                  const QueryPrefetch* prefetch)
+      ASUP_REQUIRES_SHARED(epoch_mutex_);
+
+  /// What the answer path decided for one miss: the inputs of the defense
+  /// events, emitted once the answer is final.
+  struct DefenseRecord {
+    size_t sel_size = 0;  // |Sel(q)|
+    /// Answered by Algorithm 1: the query gets a segment probe.
+    bool simple_path = false;
+    uint64_t docs_hidden = 0;
+    uint64_t docs_trimmed = 0;
+    bool cover_found = false;  // AS-ARBI only
+    size_t cover_answers = 0;  // historic answers in the cover
+    bool virtual_answered = false;
+  };
+
+  /// The answer of a miss, Algorithms 1 and 2 top to bottom: the underflow
+  /// guard; for a defense with a history, the cover trigger and a virtual
+  /// answer or a refusal; otherwise hide → trim → emulated status, then the
+  /// history record.
+  SearchResult Answer(const KeywordQuery& query, const QueryPrefetch& prefetch,
+                      DefenseRecord& record)
+      ASUP_REQUIRES_SHARED(epoch_mutex_);
+
+  /// Algorithm 2 lines 1-5, shared by AS-DECLINE up to the answer: true
+  /// when at most m historic answers σ-cover Sel(q), with `result` set to
+  /// the virtual answer or the refusal; false when q falls through to
+  /// Algorithm 1.
+  bool AnswerFromHistory(const KeywordQuery& query,
+                         const QueryPrefetch& prefetch, DefenseRecord& record,
+                         SearchResult& result)
+      ASUP_REQUIRES_SHARED(epoch_mutex_);
+
+  /// Virtual query processing: q ∩ (Res(q1) ∪ ... ∪ Res(qu)), ranked by
+  /// the base engine and capped at k.
+  SearchResult VirtualAnswer(const KeywordQuery& query,
+                             const std::vector<DocId>& match_ids,
+                             const std::vector<DocId>& pool,
+                             DefenseRecord& record)
+      ASUP_REQUIRES_SHARED(epoch_mutex_);
+
+  /// Algorithm 1 lines 7-13: per-document edge removal against Θ_R with
+  /// the keyed deterministic coin. Returns the survivors; all of M(q)
+  /// enters Θ_R.
+  std::vector<ScoredDoc> Hide(const KeywordQuery& query,
+                              const RankedMatches& ranked,
+                              DefenseRecord& record)
+      ASUP_REQUIRES_SHARED(epoch_mutex_);
+
+  /// Algorithm 1 line 14: trims `docs` to min(|M(q)|/μ, k).
+  void Trim(size_t m_size, std::vector<ScoredDoc>& docs,
+            DefenseRecord& record) ASUP_REQUIRES_SHARED(epoch_mutex_);
+
+  /// Status in the *emulated* corpus, where q matches |Sel(q)|/μ
+  /// documents: underflow for an empty answer, else overflow iff
+  /// |Sel(q)| > μ·k.
+  QueryStatus EmulatedStatus(const std::vector<ScoredDoc>& docs,
+                             size_t sel_size) const
+      ASUP_REQUIRES_SHARED(epoch_mutex_);
+
+  /// Emits the defense events the watchtower consumes, in a fixed order:
+  /// hidden → segment probe → trimmed → cover → virtual.
+  void EmitDefenseEvents(const KeywordQuery& query,
+                         const DefenseRecord& record,
+                         const SearchResult& result) const
       ASUP_REQUIRES_SHARED(epoch_mutex_);
 
   /// Takes the exclusive epoch lock and migrates every state object, μ and
@@ -178,7 +246,7 @@ class DefendedEngine : public PrefetchableService {
 
   MatchingEngine* base_;
   AsSimpleConfig config_;
-  bool cache_answers_;
+  CoverAction on_cover_;
   size_t m_limit_;  // γ·k, the size cap of M(q)
   /// Guards the epoch-pinned state below (snapshot_, segment_, the state
   /// objects' indexing, and the answer cache's validity): shared for
@@ -197,9 +265,7 @@ class DefendedEngine : public PrefetchableService {
   /// Internally synchronized; epoch_mutex_ orders its Clear() against
   /// in-flight queries.
   AnswerCache answer_cache_;
-  std::atomic<uint64_t> queries_processed_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> epoch_migrations_{0};
+  Counters counters_;
 };
 
 }  // namespace asup

@@ -1,18 +1,20 @@
-// The processor-chain contract (engine/pipeline/result_processor.h,
-// suppress/processors.h): decomposing the query path into composable
-// stages changed NOTHING observable. Three angles pin that down:
+// The defense answer path (suppress/defended_engine.h): the host's
+// straight-line Algorithm 1/2 code changes NOTHING observable. Four angles
+// pin that down:
 //
 //  1. Oracle equivalence — test-local *monolithic* reimplementations of
 //     Algorithm 1 (AS-SIMPLE) and Algorithm 2 (AS-ARBI), written straight
 //     from the paper against public components only, must agree with the
-//     chain engines document-for-document and score-bit-for-score-bit.
-//  2. Cross-execution equivalence — one chain engine run serially, over
+//     defended engines document-for-document and score-bit-for-score-bit.
+//  2. Cross-execution equivalence — one defended engine run serially, over
 //     sharded bases (1/2/4 shards) and through BatchExecutor's
 //     deterministic parallel mode must produce bitwise-identical answers,
 //     stats, and serialized defense state.
-//  3. The segment probe the recording stage emits must equal the
-//     segment_index() of an equally-sized corpus — exactly at powers of γ,
-//     where the replaced log-ratio arithmetic truncated one segment low.
+//  3. The segment probe the host emits must equal the segment_index() of
+//     an equally-sized corpus — exactly at powers of γ, where the replaced
+//     log-ratio arithmetic truncated one segment low.
+//  4. The defense event stream — kinds, order and payloads — of each
+//     defense over a fixed log is pinned to recorded values.
 
 #include <algorithm>
 #include <cmath>
